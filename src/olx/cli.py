@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Any, Sequence
 
@@ -30,7 +29,7 @@ from .resonator import (
     resonance_product,
     resonance_products_at_cutoff,
 )
-from .scan import bound_report, grid_scan, refine_peak
+from .scan import bound_report, env_threads, grid_scan, refine_peak
 
 
 class _UsageError(Exception):
@@ -48,9 +47,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _num(text: str) -> float:
     try:
-        return float(text)
+        v = float(text)
     except ValueError:
         raise _UsageError(f"not a number: {text!r}") from None
+    if not math.isfinite(v):
+        raise _UsageError(f"not a finite number: {text!r}")
+    return v
 
 
 def _int(text: str) -> int:
@@ -119,19 +121,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _threads() -> int | None:
-    raw = os.environ.get("OLX_THREADS")
-    if raw is None:
-        return None
-    try:
-        v = int(raw)
-    except ValueError:
-        raise _UsageError(f"OLX_THREADS must be a positive integer, got {raw!r}") from None
-    if v < 1:
-        raise _UsageError(f"OLX_THREADS must be a positive integer, got {raw!r}")
-    return v
-
-
 def _run_command(args: argparse.Namespace) -> tuple[dict, Any, list[str], list[list]]:
     """Returns (config_params, json_data, csv_header, csv_rows)."""
     cmd = args.command
@@ -139,7 +128,7 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, Any, list[str], list[l
 
     if cmd == "mertens":
         if args.x_grid is not None:
-            grid = [float(x) for x in args.x_grid.split(",") if x]
+            grid = [_num(x) for x in args.x_grid.split(",") if x]
         elif args.x is not None:
             grid = [args.x]
         else:
@@ -339,7 +328,7 @@ def _emit(
         "model": args.model,
         "format": args.format,
         "out": args.out,
-        "threads": _threads(),
+        "threads": env_threads(),
         **params,
     }
     if args.format == "json":
@@ -357,8 +346,11 @@ def _emit(
             lines.append(",".join(_fmt(v) for v in row))
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -368,7 +360,7 @@ def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
-        _threads()  # validate early
+        env_threads()  # validate early
         params, data, header, rows = _run_command(args)
         _emit(args, params, data, header, rows)
         return 0

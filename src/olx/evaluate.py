@@ -19,14 +19,9 @@ from functools import lru_cache
 import numpy as np
 
 from .charsum import periodic_lseries
-from .errors import (
-    DomainError,
-    NumericError,
-    RangeError,
-    UnsupportedModelError,
-)
+from .errors import DomainError, NumericError, UnsupportedModelError
 from .lfamily import LFunctionModel, is_fundamental_discriminant
-from .primes import character_table, sieve_primes
+from .primes import character_table, primes_upto
 from .summation import blocked_complex_log_sum
 
 _EM_BERNOULLI = (
@@ -39,11 +34,6 @@ _EM_BERNOULLI = (
     7.0 / 6,
     -3617.0 / 510,
 )
-
-
-@lru_cache(maxsize=6)
-def _primes_upto(limit: int) -> np.ndarray:
-    return sieve_primes(limit).primes
 
 
 def zeta_em(s: complex) -> complex:
@@ -158,9 +148,8 @@ def euler_product_on_line(model: LFunctionModel, t: float, Y: float) -> complex:
     complex log sum; block-ordered, so bit-identical across runs."""
     if Y < 2:
         raise DomainError(f"truncation cutoff must be >= 2, got {Y}")
-    if model.kind == "rankin-selberg" and Y > model.coeff_cutoff:
-        raise RangeError(f"cutoff {Y} beyond coefficient cutoff {model.coeff_cutoff}")
-    primes = _primes_upto(int(Y))
+    model.check_cutoff(Y)
+    primes = primes_upto(int(Y))
     log_f = blocked_complex_log_sum(
         primes, lambda ps: _log_terms_on_line(model, ps, float(t))
     )
@@ -179,9 +168,8 @@ def log_expansion(
     """
     if Y < 2:
         return np.empty(0), np.empty(0)
-    if model.kind == "rankin-selberg" and Y > model.coeff_cutoff:
-        raise RangeError(f"cutoff {Y} beyond coefficient cutoff {model.coeff_cutoff}")
-    primes = _primes_upto(int(Y))
+    model.check_cutoff(Y)
+    primes = primes_upto(int(Y))
     real, pair_re = model.root_blocks(primes)
     pf = primes.astype(np.float64)
     logp = np.log(pf)

@@ -19,23 +19,11 @@ import numpy as np
 
 from .charsum import periodic_lseries
 from .errors import DomainError, NumericError, RangeError, ResourceError
-from .primes import character_table, kronecker, sieve_primes
+from .primes import character_table, sieve_primes
 
 TAU_N_MAX = 20_000
 
 EULER_GAMMA = 0.57721566490153286
-
-
-def _validate_euler_gamma() -> None:
-    # harmonic-sum oracle: sum_{k<=n} 1/k - ln n - 1/(2n) = gamma + O(1/n^2)
-    n = 1_000_000
-    h = float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64)))
-    approx = h - math.log(n) - 0.5 / n
-    if abs(approx - EULER_GAMMA) > 1e-10:
-        raise NumericError("stored Euler-Mascheroni constant failed its startup oracle")
-
-
-_validate_euler_gamma()
 
 
 @dataclass(frozen=True)
@@ -92,6 +80,11 @@ class LFunctionModel:
     def roots_at(self, p: int) -> LocalRoots:
         return local_roots(self, p)
 
+    def check_cutoff(self, x: float) -> None:
+        """Raise RangeError if primes up to x reach past the coefficient table."""
+        if x > self.coeff_cutoff:
+            raise RangeError(f"cutoff {x} beyond coefficient cutoff {self.coeff_cutoff}")
+
     def root_blocks(self, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized local roots for an ascending block of primes.
 
@@ -109,10 +102,8 @@ class LFunctionModel:
             real = np.column_stack([np.ones(n), chi])
             return real, np.empty((n, 0))
         # rankin-selberg: two real roots 1 and the pair (a^2, conj(a)^2)
-        if n and primes[-1] > self.coeff_cutoff:
-            raise RangeError(
-                f"prime {int(primes[-1])} beyond coefficient cutoff {self.coeff_cutoff}"
-            )
+        if n:
+            self.check_cutoff(int(primes[-1]))
         idx = np.searchsorted(self._rs_primes, primes)
         if n and ((idx >= len(self._rs_primes)).any() or (self._rs_primes[idx] != primes).any()):
             raise RangeError("non-prime or out-of-table value in prime block")
@@ -120,6 +111,27 @@ class LFunctionModel:
         real = np.broadcast_to(1.0, (n, 2))
         pair_re = (0.5 * lam_sq - 1.0).reshape(n, 1)
         return real, pair_re
+
+
+def log_local_factor(
+    model: LFunctionModel, primes: np.ndarray, q: float | np.ndarray = 1.0
+) -> np.ndarray:
+    """Per-prime log of prod_j (1 - alpha_j(p) q / p)^(-1) over an ascending
+    block of primes; q is a scalar or one weight per prime (q = 1 is the
+    local factor at s = 1, the resonator weights q_p give the resonance
+    product)."""
+    real, pair_re = model.root_blocks(primes)
+    inv_p = 1.0 / primes.astype(np.float64)
+    terms = np.zeros(len(primes))
+    for j in range(real.shape[1]):
+        t = -np.log1p(-real[:, j] * q * inv_p)
+        if not np.all(np.isfinite(t)):
+            raise NumericError("degenerate local factor at s = 1")
+        terms += t
+    for j in range(pair_re.shape[1]):
+        # conjugate pair of unit-modulus roots: (1 - a q/p)(1 - conj(a) q/p)
+        terms += -np.log1p((-2.0 * pair_re[:, j] * q + q * q * inv_p) * inv_p)
+    return terms
 
 
 def _is_squarefree(n: int) -> bool:
@@ -147,7 +159,7 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 @dataclass(frozen=True)
 class TauTable:
-    """Exact integer tau(1..N) from the 24th power of the eta-series."""
+    """Exact integer tau(1..N), the coefficients of Delta = q * (eta^3)^8."""
 
     N: int
     values: tuple[int, ...] = field(repr=False)
@@ -158,86 +170,33 @@ class TauTable:
         return self.values[n - 1]
 
 
-def _pentagonal_series(n_terms: int) -> list[int]:
-    """Coefficients of prod_{n>=1} (1 - q^n) up to q^(n_terms - 1)."""
-    c = [0] * n_terms
-    c[0] = 1
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 >= n_terms and g2 >= n_terms:
-            break
-        s = -1 if k & 1 else 1
-        if g1 < n_terms:
-            c[g1] += s
-        if g2 < n_terms:
-            c[g2] += s
-        k += 1
-    return c
-
-
-def _poly_mul_trunc(a: list[int], b: list[int], n_keep: int) -> list[int]:
-    """Exact truncated product of integer polynomials.
-
-    Coefficients are packed into big integers (one fixed-width field per
-    coefficient, positive and negative parts separated) so the convolution
-    runs on Python's subquadratic integer multiply instead of an O(n^2)
-    coefficient loop.
-    """
-    a = a[:n_keep]
-    b = b[:n_keep]
-    max_a = max(max(a), -min(a), 1)
-    max_b = max(max(b), -min(b), 1)
-    bound = min(len(a), len(b)) * max_a * max_b
-    bits = (bound.bit_length() + 8) & ~7
-    nbytes = bits // 8
-
-    def pack(poly: list[int]) -> tuple[int, int]:
-        pos = 0
-        neg = 0
-        for i, x in enumerate(poly):
-            if x > 0:
-                pos |= x << (bits * i)
-            elif x < 0:
-                neg |= (-x) << (bits * i)
-        return pos, neg
-
-    ap, an = pack(a)
-    bp, bn = pack(b)
-    count = min(len(a) + len(b) - 1, n_keep)
-    mask = (1 << (bits * count)) - 1
-
-    def unpack(v: int) -> list[int]:
-        buf = (v & mask).to_bytes(count * nbytes, "little")
-        return [
-            int.from_bytes(buf[i * nbytes : (i + 1) * nbytes], "little")
-            for i in range(count)
-        ]
-
-    pos_part = unpack(ap * bp + an * bn)
-    neg_part = unpack(ap * bn + an * bp)
-    return [x - y for x, y in zip(pos_part, neg_part)]
-
-
 @lru_cache(maxsize=8)
 def tau_table(N: int) -> TauTable:
-    """tau(1..N) by expanding q * prod (1 - q^n)^24 in exact integers.
+    """tau(1..N) from Delta = q * (eta^3)^8 in exact integers.
 
-    The pentagonal series is raised to the 24th power by repeated
-    truncated multiplication (square chain 2-4-8-16, then 16*8).
+    By Jacobi's identity eta^3 = prod (1 - q^n)^3 is the sparse series
+    sum_k (-1)^k (2k+1) q^(k(k+1)/2), with about sqrt(2N) terms below q^N,
+    so the eighth power takes seven truncated multiplications, each a sum
+    of shifted copies of an integer (object) array.
     """
     if N < 1:
         raise DomainError("tau table needs N >= 1")
     if N > TAU_N_MAX:
         raise ResourceError(f"tau table budget is N <= {TAU_N_MAX}, got {N}")
-    p1 = _pentagonal_series(N)
-    p2 = _poly_mul_trunc(p1, p1, N)
-    p4 = _poly_mul_trunc(p2, p2, N)
-    p8 = _poly_mul_trunc(p4, p4, N)
-    p16 = _poly_mul_trunc(p8, p8, N)
-    p24 = _poly_mul_trunc(p16, p8, N)
-    return TauTable(N=N, values=tuple(p24))
+    terms = []
+    k = 0
+    while k * (k + 1) // 2 < N:
+        terms.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
+        k += 1
+    power = np.zeros(N, dtype=object)
+    for e, c in terms:
+        power[e] = c
+    for _ in range(7):
+        acc = np.zeros(N, dtype=object)
+        for e, c in terms:
+            acc[e:] += c * power[: N - e]
+        power = acc
+    return TauTable(N=N, values=tuple(power.tolist()))
 
 
 def make_zeta_power(m: int) -> LFunctionModel:
@@ -381,8 +340,7 @@ def local_roots(model: LFunctionModel, p: int) -> LocalRoots:
     """The full multiset of inverse roots of model's local factor at p."""
     if not _is_prime(p):
         raise DomainError(f"{p} is not prime")
-    if p > model.coeff_cutoff:
-        raise RangeError(f"prime {p} beyond coefficient cutoff {model.coeff_cutoff}")
+    model.check_cutoff(p)
     if model.kind == "zeta-power":
         return LocalRoots(roots=(complex(1.0),) * model.pole_order)
     if model.kind == "dedekind":

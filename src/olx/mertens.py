@@ -12,10 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
-from .errors import DomainError, NumericError, RangeError
-from .lfamily import EULER_GAMMA, LFunctionModel, local_roots
+from .errors import DomainError
+from .lfamily import EULER_GAMMA, LFunctionModel, local_roots, log_local_factor
 from .primes import sieve_primes
 from .summation import blocked_log_sum
 
@@ -43,25 +41,6 @@ def lambda_coeff(model: LFunctionModel, p: int, r: int) -> complex:
     return sum(z**r for z in roots) / r
 
 
-def _log_terms_at_1(model: LFunctionModel, primes: np.ndarray) -> np.ndarray:
-    """Per-prime log of the local factor at s = 1, as -log(1 - alpha/p) sums."""
-    real, pair_re = model.root_blocks(primes)
-    pf = primes.astype(np.float64)
-    inv_p = 1.0 / pf
-    terms = np.zeros(len(primes))
-    for j in range(real.shape[1]):
-        a = real[:, j]
-        t = -np.log1p(-a * inv_p)
-        if not np.all(np.isfinite(t)):
-            raise NumericError("degenerate local factor at s = 1")
-        terms += t
-    for j in range(pair_re.shape[1]):
-        c = pair_re[:, j]
-        # conjugate pair of unit-modulus roots: (1 - a/p)(1 - conj(a)/p)
-        terms += -np.log1p((-2.0 * c + inv_p) * inv_p)
-    return terms
-
-
 def truncated_product_at_1(model: LFunctionModel, x: float) -> float:
     """prod_{p <= x} prod_j (1 - alpha_j(p)/p)^(-1), evaluated in log space.
 
@@ -70,12 +49,9 @@ def truncated_product_at_1(model: LFunctionModel, x: float) -> float:
     """
     if x < 2:
         raise DomainError(f"truncated product needs x >= 2, got {x}")
-    if model.kind == "rankin-selberg" and x > model.coeff_cutoff:
-        raise RangeError(
-            f"cutoff {x} beyond coefficient cutoff {model.coeff_cutoff}"
-        )
+    model.check_cutoff(x)
     primes = sieve_primes(int(x)).primes
-    return math.exp(blocked_log_sum(primes, lambda ps: _log_terms_at_1(model, ps)))
+    return math.exp(blocked_log_sum(primes, lambda ps: log_local_factor(model, ps)))
 
 
 def mertens_prediction(model: LFunctionModel, x: float) -> float:

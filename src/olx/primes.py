@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,6 +73,12 @@ def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> PrimeTable:
         lo = hi
     primes = np.concatenate(chunks)
     return PrimeTable(limit=limit, primes=primes[primes <= limit])
+
+
+@lru_cache(maxsize=6)
+def primes_upto(limit: int) -> np.ndarray:
+    """The primes <= limit as a read-only array, cached across calls."""
+    return sieve_primes(limit).primes
 
 
 def kronecker(d: int, n: int) -> int:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, RangeError, ResourceError
-from .evaluate import _primes_upto
-from .lfamily import LFunctionModel, local_coefficients
-from .summation import BLOCK_PRIMES, neumaier_sum
+from .errors import DomainError, NumericError, ResourceError
+from .lfamily import LFunctionModel, local_coefficients, log_local_factor
+from .primes import primes_upto
+from .summation import blocked_log_sum
 
 _E_TO_E = math.exp(math.e)
 
@@ -108,7 +108,7 @@ def q_of_int(n: int, X: float) -> float:
     q = 1.0
     m = n
     if X >= 2:
-        for p in _primes_upto(int(X)):
+        for p in primes_upto(int(X)):
             p = int(p)
             if p * p > m:
                 break
@@ -126,47 +126,42 @@ def q_of_int(n: int, X: float) -> float:
     return q
 
 
-def _product_terms(model: LFunctionModel, primes: np.ndarray, X: float):
-    """(resonance, mertens, defect) per-prime log terms, each from its own
-    formula so the factorization identity is a real check, not bookkeeping."""
+def _weights(primes: np.ndarray, X: float) -> np.ndarray:
+    """Vectorized q_p = max(0, 1 - p/X)."""
+    return np.maximum(1.0 - primes.astype(np.float64) / X, 0.0)
+
+
+def _defect_terms(model: LFunctionModel, primes: np.ndarray, X: float) -> np.ndarray:
+    """Per-prime log of the defect, from its own formula (not as the
+    difference of two local-factor logs) so the factorization identity is
+    a real check, not bookkeeping."""
     real, pair_re = model.root_blocks(primes)
     pf = primes.astype(np.float64)
-    inv_p = 1.0 / pf
-    q = 1.0 - pf / X
-    np.maximum(q, 0.0, out=q)
-    res = np.zeros(len(primes))
-    mer = np.zeros(len(primes))
-    def_ = np.zeros(len(primes))
+    q = _weights(primes, X)
+    terms = np.zeros(len(primes))
     for j in range(real.shape[1]):
         a = real[:, j]
-        res += -np.log1p(-a * q * inv_p)
-        mer += -np.log1p(-a * inv_p)
-        def_ += np.log(pf - a) - np.log(pf - a * q)
+        terms += np.log(pf - a) - np.log(pf - a * q)
     for j in range(pair_re.shape[1]):
         c = pair_re[:, j]
-        res += -np.log1p((-2.0 * c * q + q * q * inv_p) * inv_p)
-        mer += -np.log1p((-2.0 * c + inv_p) * inv_p)
-        def_ += np.log(pf * pf - 2.0 * c * pf + 1.0) - np.log(
+        terms += np.log(pf * pf - 2.0 * c * pf + 1.0) - np.log(
             pf * pf - 2.0 * c * q * pf + q * q
         )
-    return res, mer, def_
+    return terms
 
 
 def resonance_products_at_cutoff(
     model: LFunctionModel, X: float
 ) -> tuple[float, float, float]:
     """(resonance_product, mertens_factor, defect) over primes p <= X."""
-    if model.kind == "rankin-selberg" and X > model.coeff_cutoff:
-        raise RangeError(f"cutoff {X} beyond coefficient cutoff {model.coeff_cutoff}")
+    model.check_cutoff(X)
     if X < 2:
         return 1.0, 1.0, 1.0
-    primes = _primes_upto(int(X))
-    blocks = [
-        tuple(float(np.sum(t)) for t in _product_terms(model, primes[lo : lo + BLOCK_PRIMES], X))
-        for lo in range(0, len(primes), BLOCK_PRIMES)
-    ]
-    sums = [neumaier_sum(b[i] for b in blocks) for i in range(3)]
-    return math.exp(sums[0]), math.exp(sums[1]), math.exp(sums[2])
+    primes = primes_upto(int(X))
+    res = blocked_log_sum(primes, lambda ps: log_local_factor(model, ps, _weights(ps, X)))
+    mer = blocked_log_sum(primes, lambda ps: log_local_factor(model, ps))
+    dft = blocked_log_sum(primes, lambda ps: _defect_terms(model, ps, X))
+    return math.exp(res), math.exp(mer), math.exp(dft)
 
 
 def asymptotic_bound(model: LFunctionModel, T: float) -> float:
@@ -202,7 +197,7 @@ def R_eval(t: float, X: float) -> complex:
     product (X < 2) is 1."""
     if X < 2:
         return complex(1.0)
-    primes = _primes_upto(int(X))
+    primes = primes_upto(int(X))
     value = complex(1.0)
     for p in primes:
         p = int(p)
@@ -400,7 +395,7 @@ def _series_sum(
     collects the out-of-band Gaussian mass and the pair-floor allowance;
     enumerated_mass = total weight captured by the enumeration, for
     dropped-mass accounting against the closed-form total."""
-    primes = [int(p) for p in _primes_upto(max(2, int(X))) if p <= X]
+    primes = [int(p) for p in primes_upto(max(2, int(X))) if p <= X]
     tabs = []
     for p in primes:
         q = 1.0 - p / X
@@ -462,8 +457,7 @@ def moment_series(
         raise DomainError(f"series path supports X <= {X_SERIES_MAX}, got {X}")
     if n_cutoff < 1:
         raise DomainError("n_cutoff must be >= 1")
-    if model.kind == "rankin-selberg" and X > model.coeff_cutoff:
-        raise RangeError(f"cutoff {X} beyond coefficient cutoff {model.coeff_cutoff}")
+    model.check_cutoff(X)
     cfg = resonator_config(T)
     eps = cfg.eps
     norm = math.sqrt(math.pi) / eps
@@ -485,7 +479,7 @@ def moment_series(
         ("I1", s1, s1_shallow, mass1, mass1_shallow),
     ):
         total = 1.0
-        for p in (int(v) for v in _primes_upto(max(2, int(X))) if v <= X):
+        for p in (int(v) for v in primes_upto(max(2, int(X))) if v <= X):
             total *= _total_weight(model, p, 1.0 - p / X, which)
         marginal = mass - mass_sh
         rate = abs(s_val - s_sh) / marginal if marginal > 0 else 0.0
@@ -508,7 +502,7 @@ def _integrand_sums(
     r2 = np.ones_like(t)
     f_val = np.ones_like(t, dtype=np.complex128)
     if X >= 2:
-        primes = _primes_upto(int(X))
+        primes = primes_upto(int(X))
         real, pair_re = model.root_blocks(primes)
         for i, p in enumerate(primes):
             p = int(p)
@@ -557,8 +551,7 @@ def moment_quadrature(
     the integrand and the failure is raised, not smoothed over."""
     if step <= 0:
         raise DomainError("quadrature step must be positive")
-    if model.kind == "rankin-selberg" and X > model.coeff_cutoff:
-        raise RangeError(f"cutoff {X} beyond coefficient cutoff {model.coeff_cutoff}")
+    model.check_cutoff(X)
     cfg = resonator_config(T)
     eps = cfg.eps
     vals = [_simpson(model, X, eps, step / f) for f in (1.0, 2.0, 4.0)]

@@ -57,10 +57,11 @@ class BoundReport:
     conjectural_form: float | None
 
 
-def _workers() -> int:
+def env_threads() -> int | None:
+    """The worker cap set by OLX_THREADS, or None when it is unset."""
     raw = os.environ.get("OLX_THREADS")
     if raw is None:
-        return os.cpu_count() or 1
+        return None
     try:
         v = int(raw)
     except ValueError:
@@ -177,7 +178,7 @@ def grid_scan(
         return out
 
     n_chunks = (fine_n + _CHUNK - 1) // _CHUNK
-    workers = min(_workers(), n_chunks)
+    workers = min(env_threads() or os.cpu_count() or 1, n_chunks)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_chunk = list(pool.map(chunk_candidates, range(n_chunks)))

@@ -2,9 +2,11 @@
 
 All Euler products accumulate in log space: per-prime terms are summed
 with numpy's pairwise reduction inside fixed-size blocks, and the block
-results are folded left-to-right with Neumaier compensation. The block
-boundaries depend only on the input, never on a worker count, so two runs
-produce bit-identical sums regardless of how blocks were computed.
+results are folded left-to-right by neumaier_sum, the package's only
+compensated loop (complex sums fold their real and imaginary parts
+through it separately). The block boundaries depend only on the input,
+never on a worker count, so two runs produce bit-identical sums
+regardless of how blocks were computed.
 """
 from __future__ import annotations
 
@@ -54,22 +56,10 @@ def blocked_complex_log_sum(
 ) -> complex:
     """Complex analogue of blocked_log_sum (real and imaginary parts are
     compensated independently)."""
-    re = 0.0
-    re_c = 0.0
-    im = 0.0
-    im_c = 0.0
-    for lo in range(0, len(primes), block):
-        s = complex(np.sum(term_fn(primes[lo : lo + block])))
-        t = re + s.real
-        if abs(re) >= abs(s.real):
-            re_c += (re - t) + s.real
-        else:
-            re_c += (s.real - t) + re
-        re = t
-        t = im + s.imag
-        if abs(im) >= abs(s.imag):
-            im_c += (im - t) + s.imag
-        else:
-            im_c += (s.imag - t) + im
-        im = t
-    return complex(re + re_c, im + im_c)
+    sums = [
+        complex(np.sum(term_fn(primes[lo : lo + block])))
+        for lo in range(0, len(primes), block)
+    ]
+    return complex(
+        neumaier_sum(s.real for s in sums), neumaier_sum(s.imag for s in sums)
+    )

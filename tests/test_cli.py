@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -42,6 +43,21 @@ class TestExitCodes:
              "--step", "1e-3", "--Y", "100"], capsys)
         assert code == 3
         assert err.startswith("error: resource:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["mertens", "--x", "nan"],
+    ["mertens", "--x", "inf"],
+    ["mertens", "--x-grid", "1e2,abc"],
+    ["moments", "--n-cutoff", "1e400"],
+    ["evaluate", "--t", "nan"],
+    ["residue", "--out", "{missing}/f"],
+], ids=["x-nan", "x-inf", "x-grid-abc", "n-cutoff-1e400", "t-nan", "out-missing-dir"])
+def test_bad_input_is_one_error_line(argv, capsys, tmp_path):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    code, _, err = run_capture(argv, capsys)
+    assert code == 1
+    assert re.fullmatch(r"error: \w+: [^\n]+\n", err)
 
 
 class TestOutputs:

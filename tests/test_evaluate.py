@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from olx.errors import DomainError, UnsupportedModelError
+from olx.errors import DomainError, RangeError, UnsupportedModelError
 from olx.evaluate import (
     calibrate_truncation,
     dirichlet_direct,
@@ -13,7 +13,13 @@ from olx.evaluate import (
     zeta_em,
     zeta_eta,
 )
+from olx.lfamily import make_rankin_selberg_delta
 from olx.mertens import truncated_product_at_1
+from olx.resonator import (
+    moment_quadrature,
+    moment_series,
+    resonance_products_at_cutoff,
+)
 
 # zeta(1+i), frozen from both in-package oracles (they agree to 4e-16) and
 # cross-checked against an independent multiprecision evaluation
@@ -138,6 +144,21 @@ class TestEulerProductOnLine:
 
         with pytest.raises(RangeError):
             euler_product_on_line(rs_small, 1.0, 5000.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, x: truncated_product_at_1(m, x),
+    lambda m, x: euler_product_on_line(m, 1.0, x),
+    lambda m, x: log_expansion(m, x),
+    lambda m, x: resonance_products_at_cutoff(m, x),
+    lambda m, x: moment_series(m, x, 5000.0, 100),  # X <= X_SERIES_MAX
+    lambda m, x: moment_quadrature(m, x, 5000.0, 0.05),
+], ids=["truncated_product_at_1", "euler_product_on_line", "log_expansion",
+        "resonance_products_at_cutoff", "moment_series", "moment_quadrature"])
+def test_cutoff_guard_at_every_entry_point(call):
+    model = make_rankin_selberg_delta(20)
+    with pytest.raises(RangeError, match=r"cutoff 30\.0 beyond coefficient cutoff 20\.0"):
+        call(model, 30.0)
 
 
 class TestLogExpansion:

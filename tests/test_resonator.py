@@ -168,13 +168,13 @@ class TestResonator:
         # used inside the quadrature integrands
         import numpy as np
 
-        from olx.evaluate import _primes_upto
+        from olx.primes import primes_upto
 
         X = 20.0
         for t in (0.7, 5.0, 42.0):
             direct = abs(R_eval(t, X)) ** 2
             acc = 1.0
-            for p in _primes_upto(int(X)):
+            for p in primes_upto(int(X)):
                 p = int(p)
                 q = q_of_prime(p, X)
                 acc /= 1.0 - 2.0 * q * math.cos(t * math.log(p)) + q * q
