@@ -24,6 +24,8 @@ from .lfamily import LFunctionModel, is_fundamental_discriminant
 from .primes import character_table, primes_upto
 from .summation import blocked_complex_log_sum
 
+_LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))
+
 _EM_BERNOULLI = (
     1.0 / 6,
     -1.0 / 30,
@@ -153,6 +155,8 @@ def euler_product_on_line(model: LFunctionModel, t: float, Y: float) -> complex:
     log_f = blocked_complex_log_sum(
         primes, lambda ps: _log_terms_on_line(model, ps, float(t))
     )
+    if log_f.real > _LOG_FLOAT_MAX:
+        raise NumericError(f"product magnitude overflows a float at t = {t}")
     return complex(np.exp(log_f.real) * complex(math.cos(log_f.imag), math.sin(log_f.imag)))
 
 

@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 _TAU = 1.4
 _HALF_WIDTH = 13
 
@@ -39,7 +41,7 @@ def exp_sum_on_grid(
         return np.zeros(n, dtype=np.complex128)
     theta = step * np.asarray(omegas, dtype=np.float64)
     if float(np.max(theta)) > PHASE_STEP_MAX:
-        raise ValueError("phase step too large for gridded evaluation")
+        raise DomainError("phase step too large for gridded evaluation")
     nf = 1 << max(6, int(math.ceil(math.log2(2 * n))))
     half = n // 2
     # centring the targets keeps the deconvolution band well conditioned

@@ -55,7 +55,8 @@ class LFunctionModel:
       'dedekind'       roots [1, chi_d(p)] for a fundamental discriminant d
       'rankin-selberg' roots [a^2, 1, 1, conj(a)^2] from normalized tau(p)
     coeff_cutoff is the largest prime with known roots (finite only for
-    the Rankin-Selberg model).
+    the Rankin-Selberg model). residue_tail is the tail estimate that
+    sym2_residue reports with the Rankin-Selberg residue (0.0 otherwise).
     """
 
     label: str
@@ -65,6 +66,7 @@ class LFunctionModel:
     gamma_f: float
     kind: str
     coeff_cutoff: float
+    residue_tail: float = 0.0
     discriminant: int | None = None
     _chi: np.ndarray | None = field(default=None, repr=False)
     _rs_primes: np.ndarray | None = field(default=None, repr=False)
@@ -310,7 +312,7 @@ def make_rankin_selberg_delta(N: int) -> LFunctionModel:
     if N > TAU_N_MAX:
         raise ResourceError(f"coefficient budget is N <= {TAU_N_MAX}, got {N}")
     primes, lam_sq = _rs_lambda_sq(N)
-    residue, _ = sym2_residue(N)
+    residue, tail = sym2_residue(N)
     lam_sq.setflags(write=False)
     return LFunctionModel(
         label=f"rs-delta:{N}",
@@ -320,6 +322,7 @@ def make_rankin_selberg_delta(N: int) -> LFunctionModel:
         gamma_f=EULER_GAMMA + math.log(residue),
         kind="rankin-selberg",
         coeff_cutoff=float(N),
+        residue_tail=tail,
         _rs_primes=primes,
         _rs_lam_sq=lam_sq,
     )

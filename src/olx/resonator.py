@@ -177,14 +177,18 @@ def asymptotic_bound(model: LFunctionModel, T: float) -> float:
     return math.exp(model.gamma_f) * (ll + lll) ** model.pole_order
 
 
-def resonance_product(model: LFunctionModel, T: float) -> ResonanceReport:
-    """Assemble the resonance report at the scale-derived cutoff X(T)."""
-    cfg = resonator_config(T)
-    res, mer, def_ = resonance_products_at_cutoff(model, cfg.X)
+def resonance_product(
+    model: LFunctionModel, T: float, X: float | None = None
+) -> ResonanceReport:
+    """Assemble the resonance report at the scale-derived cutoff X(T), or
+    at the cutoff X when one is given (the bound still uses T)."""
+    if X is None:
+        X = resonator_config(T).X
+    res, mer, def_ = resonance_products_at_cutoff(model, X)
     return ResonanceReport(
         label=model.label,
-        T=cfg.T,
-        X=cfg.X,
+        T=float(T),
+        X=float(X),
         resonance_product=res,
         mertens_factor=mer,
         defect=def_,

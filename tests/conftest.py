@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from olx.lfamily import (
@@ -5,6 +8,16 @@ from olx.lfamily import (
     make_rankin_selberg_delta,
     make_zeta_power,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_child_path():
+    """Tests that start `python -m olx.cli` in a child process give it the
+    checkout's src/, as pytest's `pythonpath` setting does for this one."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,19 +46,74 @@ class TestExitCodes:
         assert err.startswith("error: resource:")
 
 
-@pytest.mark.parametrize("argv", [
-    ["mertens", "--x", "nan"],
-    ["mertens", "--x", "inf"],
-    ["mertens", "--x-grid", "1e2,abc"],
-    ["moments", "--n-cutoff", "1e400"],
-    ["evaluate", "--t", "nan"],
-    ["residue", "--out", "{missing}/f"],
-], ids=["x-nan", "x-inf", "x-grid-abc", "n-cutoff-1e400", "t-nan", "out-missing-dir"])
-def test_bad_input_is_one_error_line(argv, capsys, tmp_path):
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, want", [
+    (["mertens", "--x", "nan"], 1),
+    (["mertens", "--x", "inf"], 1),
+    (["mertens", "--x-grid", "1e2,abc"], 1),
+    (["moments", "--n-cutoff", "1e400"], 1),
+    (["evaluate", "--t", "nan"], 1),
+    (["residue", "--out", "{missing}/f"], 1),
+    (["mertens", "--model", "zeta^1000", "--x", "1e2"], 2),
+    (["resonance", "--model", "zeta^5000"], 2),
+    (["evaluate", "--model", "zeta^200", "--t", "0.001"], 2),
+    (["scan", "--model", "zeta^2000", "--t-min", "10", "--t-max", "20",
+      "--step", "0.5", "--Y", "100", "--top-k", "1"], 2),
+], ids=["x-nan", "x-inf", "x-grid-abc", "n-cutoff-1e400", "t-nan", "out-missing-dir",
+        "mertens-overflow", "resonance-overflow", "oracle-overflow", "scan-overflow"])
+def test_bad_input_is_one_error_line(argv, want, capsys, tmp_path):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
     code, _, err = run_capture(argv, capsys)
-    assert code == 1
+    assert code == want
     assert re.fullmatch(r"error: \w+: [^\n]+\n", err)
+
+
+def readme_columns():
+    """CSV column lists per subcommand from the README table; evaluate's
+    row gives its oracle columns as a second backticked list."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    columns = {}
+    for cmd, cell in re.findall(r"^\| `(\w+)` +\| (`[^|]*?) +\|$", readme, re.M):
+        lists = [part.split(", ") for part in re.findall(r"`([^`]+)`", cell)]
+        columns[cmd] = lists[0]
+        if len(lists) > 1:
+            columns[cmd + "+oracle"] = lists[0] + lists[1]
+    return columns
+
+
+SHAPE_CASES = [
+    ("mertens", ["mertens", "--x-grid", "1e2,1e3"],
+     {"label", "grid", "product", "prediction", "ratio"}),
+    ("residue", ["residue", "--model", "rs-delta:100"],
+     {"label", "residue", "tail_estimate"}),
+    ("resonance", ["resonance", "--X", "30"],
+     {"label", "T", "X", "resonance_product", "mertens_factor", "defect",
+      "asymptotic_bound", "asymptotic_bound_note"}),
+    ("moments", ["moments", "--X", "3", "--n-cutoff", "100", "--step", "0.05"],
+     {"label", "series", "quadrature", "moment_ratio", "resonance_product",
+      "i2_agreement"}),
+    ("evaluate", ["evaluate", "--model", "rs-delta:500", "--t", "1", "--Y", "400"],
+     {"label", "t", "Y", "truncated"}),
+    ("evaluate+oracle", ["evaluate", "--t", "2", "--Y", "1e3"],
+     {"label", "t", "Y", "truncated", "direct", "deviation"}),
+    ("calibrate", ["calibrate", "--t-min", "10", "--t-max", "20", "--Y", "1e3",
+                   "--samples", "3"],
+     {"label", "t_range", "Y", "sample_count", "seed", "median", "mean", "max", "t",
+      "deviation", "note"}),
+    ("scan", ["scan", "--t-min", "171", "--t-max", "172", "--step", "0.01",
+              "--Y", "1e3", "--top-k", "2"],
+     {"label", "records", "bound_report"}),
+]
+
+
+@pytest.mark.parametrize("name, argv, keys", SHAPE_CASES, ids=[c[0] for c in SHAPE_CASES])
+def test_output_shape(name, argv, keys, capsys):
+    code, out, _ = run_capture(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    assert out.split("\n")[1] == ",".join(readme_columns()[name])
+    code, out, _ = run_capture(argv, capsys)
+    assert code == 0
+    assert set(json.loads(out)["data"]) == keys
 
 
 class TestOutputs:

@@ -131,6 +131,12 @@ class TestResonanceProducts:
         assert rep.label == "dedekind:-4"
         assert abs(rep.resonance_product / (rep.mertens_factor * rep.defect) - 1) < 1e-12
         assert rep.asymptotic_bound > 0
+        # a given cutoff replaces X(T); the bound still comes from T
+        at_x = resonance_product(gauss, 1e8, X=30.0)
+        assert (at_x.T, at_x.X) == (1e8, 30.0)
+        assert (at_x.resonance_product, at_x.mertens_factor, at_x.defect) == \
+            resonance_products_at_cutoff(gauss, 30.0)
+        assert at_x.asymptotic_bound == rep.asymptotic_bound
 
 
 class TestAsymptoticBound:

@@ -23,7 +23,7 @@ class TestExpSum:
             assert abs(fast[j] - direct) < 1e-10
 
     def test_phase_step_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             exp_sum_on_grid(np.ones(1), np.array([10.0]), 0.0, 1.0, 64)
 
     def test_band_edge_accuracy(self):
