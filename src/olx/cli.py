@@ -115,10 +115,16 @@ def _complex(z: complex) -> dict:
     return {"re": z.real, "im": z.imag, "abs": abs(z)}
 
 
+def _truncation(model: LFunctionModel, Y: float | None) -> float:
+    """--Y, or when it is omitted 1e5 capped at the model's coefficient cutoff."""
+    return min(1e5, model.coeff_cutoff) if Y is None else Y
+
+
 def _evaluate(model: LFunctionModel, args: argparse.Namespace):
-    value = euler_product_on_line(model, args.t, args.Y)
-    data = {"label": model.label, "t": args.t, "Y": args.Y, "truncated": _complex(value)}
-    row = [args.t, args.Y, value.real, value.imag, abs(value)]
+    Y = _truncation(model, args.Y)
+    value = euler_product_on_line(model, args.t, Y)
+    data = {"label": model.label, "t": args.t, "Y": Y, "truncated": _complex(value)}
+    row = [args.t, Y, value.real, value.imag, abs(value)]
     try:
         direct = direct_value(model, args.t)
     except OlxError:  # no oracle: the row stops before the direct_* columns
@@ -127,7 +133,7 @@ def _evaluate(model: LFunctionModel, args: argparse.Namespace):
         data["direct"] = _complex(direct)
         data["deviation"] = abs(value / direct - 1.0)
         row += [direct.real, direct.imag, data["deviation"]]
-    return {"t": args.t, "Y": args.Y}, data, [row]
+    return {"t": args.t, "Y": Y}, data, [row]
 
 
 def _calibrate(model: LFunctionModel, args: argparse.Namespace):
@@ -152,16 +158,20 @@ def _scan(model: LFunctionModel, args: argparse.Namespace):
         t_max = T if t_max is None else t_max
     if T is None:
         T = t_max
-    records = grid_scan(model, t_min, t_max, args.step, args.Y, args.top_k)
-    records.append(refine_peak(model, records[0].t, args.Y, args.refine_tol, args.step))
+    Y = _truncation(model, args.Y)
+    records = grid_scan(model, t_min, t_max, args.step, Y, args.top_k)
+    records.append(refine_peak(model, records[0].t, Y, args.refine_tol, args.step))
     report = asdict(bound_report(records, model, T))
     del report["label"]
     report["note"] = "no verdict: the bound's additive constant is unknown"
-    params = {"T": T, "t_min": t_min, "t_max": t_max, "step": args.step, "Y": args.Y,
+    params = {"T": T, "t_min": t_min, "t_max": t_max, "step": args.step, "Y": Y,
               "top_k": args.top_k, "refine_tol": args.refine_tol}
     data = {"label": model.label, "records": [asdict(r) for r in records],
             "bound_report": report}
     return params, data, [astuple(r) for r in records]
+
+
+_Y_HELP = "product truncation; if omitted, 1e5 capped at the model's coefficient cutoff"
 
 
 class _Command(NamedTuple):
@@ -201,7 +211,7 @@ _COMMANDS = {
     "evaluate": _Command(
         "single-point truncated product and oracle",
         (("--t", _num, 0.0, "height on the 1-line"),
-         ("--Y", _num, 1e5, "product truncation")),
+         ("--Y", _num, None, _Y_HELP)),
         # the last three columns appear only when the model has a direct oracle
         ("t", "Y", "re", "im", "abs", "direct_re", "direct_im", "deviation"),
         _evaluate,
@@ -222,7 +232,7 @@ _COMMANDS = {
          ("--t-min", _num, None, "window start"),
          ("--t-max", _num, None, "window end"),
          ("--step", _num, 0.01, "grid spacing"),
-         ("--Y", _num, 1e5, "product truncation"),
+         ("--Y", _num, None, _Y_HELP),
          ("--top-k", _int, 10, "records to keep"),
          ("--refine-tol", _num, 1e-6, "golden-section bracket tolerance")),
         ("t", "magnitude", "phase", "Y", "refined"),

@@ -22,9 +22,7 @@ from .charsum import periodic_lseries
 from .errors import DomainError, NumericError, UnsupportedModelError
 from .lfamily import LFunctionModel, is_fundamental_discriminant
 from .primes import character_table, primes_upto
-from .summation import blocked_complex_log_sum
-
-_LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))
+from .summation import LOG_FLOAT_MAX, blocked_complex_log_sum
 
 _EM_BERNOULLI = (
     1.0 / 6,
@@ -155,7 +153,7 @@ def euler_product_on_line(model: LFunctionModel, t: float, Y: float) -> complex:
     log_f = blocked_complex_log_sum(
         primes, lambda ps: _log_terms_on_line(model, ps, float(t))
     )
-    if log_f.real > _LOG_FLOAT_MAX:
+    if log_f.real > LOG_FLOAT_MAX:
         raise NumericError(f"product magnitude overflows a float at t = {t}")
     return complex(np.exp(log_f.real) * complex(math.cos(log_f.imag), math.sin(log_f.imag)))
 

@@ -15,7 +15,7 @@ from typing import Sequence
 from .errors import DomainError
 from .lfamily import EULER_GAMMA, LFunctionModel, local_roots, log_local_factor
 from .primes import sieve_primes
-from .summation import blocked_log_sum
+from .summation import blocked_log_sum, exp_of_log
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,8 @@ def truncated_product_at_1(model: LFunctionModel, x: float) -> float:
         raise DomainError(f"truncated product needs x >= 2, got {x}")
     model.check_cutoff(x)
     primes = sieve_primes(int(x)).primes
-    return math.exp(blocked_log_sum(primes, lambda ps: log_local_factor(model, ps)))
+    log_product = blocked_log_sum(primes, lambda ps: log_local_factor(model, ps))
+    return exp_of_log(log_product, f"truncated product at x = {x}")
 
 
 def mertens_prediction(model: LFunctionModel, x: float) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, NumericError, ResourceError
 from .lfamily import LFunctionModel, local_coefficients, log_local_factor
 from .primes import primes_upto
-from .summation import blocked_log_sum
+from .summation import blocked_log_sum, exp_of_log
 
 _E_TO_E = math.exp(math.e)
 
@@ -161,7 +161,11 @@ def resonance_products_at_cutoff(
     res = blocked_log_sum(primes, lambda ps: log_local_factor(model, ps, _weights(ps, X)))
     mer = blocked_log_sum(primes, lambda ps: log_local_factor(model, ps))
     dft = blocked_log_sum(primes, lambda ps: _defect_terms(model, ps, X))
-    return math.exp(res), math.exp(mer), math.exp(dft)
+    return (
+        exp_of_log(res, f"resonance product at X = {X}"),
+        exp_of_log(mer, f"Mertens factor at X = {X}"),
+        math.exp(dft),  # the defect lies in (0, 1]
+    )
 
 
 def asymptotic_bound(model: LFunctionModel, T: float) -> float:
@@ -301,6 +305,21 @@ def _enumerate_half(
     return xs, ws, scale
 
 
+def _octave_blocks(
+    x: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, w) sorted by (weight octave min(floor(-log2 w), 60), x) for
+    weights w in (0, 1], and the start offset of each octave 0..61.
+
+    Same order as np.lexsort((x, octave)) whenever x has no ties: one
+    quicksort on x, then a stable radix sort on the int16 octave.
+    """
+    octave = np.minimum(-np.log2(w), 60).astype(np.int16)
+    by_x = np.argsort(x)
+    order = by_x[np.argsort(octave[by_x], kind="stable")]
+    return x[order], w[order], np.searchsorted(octave[order], np.arange(62))
+
+
 def _banded_sum(
     xA: np.ndarray,
     wA: np.ndarray,
@@ -313,25 +332,26 @@ def _banded_sum(
     """sum wA wB exp(-(xA+xB)^2 * inv4eps2) over pairs with |xA+xB| <= band
     and wA*wB >= pair_floor, via weight-octave buckets and sorted windows.
 
+    Both sides are bucketed by weight octave and sorted by x inside each
+    bucket. An octave pair (oa, ob) is admitted when 2^-(oa+ob) reaches
+    the pair floor; for each admitted pair the items of the smaller
+    bucket search their band windows in the larger one, so search and
+    window expansion scale with the smaller side. The sum is symmetric
+    in A and B, so the evaluated pair set does not depend on which side
+    searches (up to rounding at the band edge, where g <= 1e-18).
+
     Returns (sum, floor_mass_bound) where the second term bounds the mass
     skipped by the pair floor (octave pair count times floor).
     """
-    octA = np.minimum((-np.log2(wA)).astype(np.int64), 60)
-    octB = np.minimum((-np.log2(wB)).astype(np.int64), 60)
+    xA_s, wA_s, a_starts = _octave_blocks(xA, wA)
+    xB_s, wB_s, b_starts = _octave_blocks(xB, wB)
     total = 0.0
     skipped = 0.0
-    order_b = np.lexsort((xB, octB))
-    xB_s, wB_s, octB_s = xB[order_b], wB[order_b], octB[order_b]
-    b_starts = np.searchsorted(octB_s, np.arange(62))
-    order_a = np.argsort(octA)
-    xA_s, wA_s, octA_s = xA[order_a], wA[order_a], octA[order_a]
-    a_starts = np.searchsorted(octA_s, np.arange(62))
+    chunk = 8_000_000
     for oa in range(61):
         a_lo, a_hi = a_starts[oa], a_starts[oa + 1]
         if a_hi == a_lo:
             continue
-        ax = xA_s[a_lo:a_hi]
-        aw = wA_s[a_lo:a_hi]
         for ob in range(61):
             b_lo, b_hi = b_starts[ob], b_starts[ob + 1]
             if b_hi == b_lo:
@@ -339,31 +359,24 @@ def _banded_sum(
             if 2.0 ** (-int(oa + ob)) < pair_floor:
                 skipped += 2.0 ** (-int(oa + ob)) * int(min(a_hi - a_lo, b_hi - b_lo))
                 continue
-            bx = xB_s[b_lo:b_hi]
-            bw = wB_s[b_lo:b_hi]
-            lo = np.searchsorted(bx, -band - ax)
-            hi = np.searchsorted(bx, band - ax)
-            lens = hi - lo
-            cnt = int(lens.sum())
-            if cnt == 0:
-                continue
+            a = xA_s[a_lo:a_hi], wA_s[a_lo:a_hi]
+            b = xB_s[b_lo:b_hi], wB_s[b_lo:b_hi]
+            (sx, sw), (lx, lw) = (a, b) if a_hi - a_lo <= b_hi - b_lo else (b, a)
+            lo = np.searchsorted(lx, -band - sx)
+            lens = np.searchsorted(lx, band - sx) - lo
             csum = np.zeros(len(lens) + 1, dtype=np.int64)
             np.cumsum(lens, out=csum[1:])
             pos = 0
-            chunk = 8_000_000
-            while pos < len(lens):
+            while pos < len(lens) and csum[pos] < csum[-1]:
                 end = int(np.searchsorted(csum, csum[pos] + chunk))
                 end = min(max(end, pos + 1), len(lens))
-                c = int(csum[end] - csum[pos])
-                if c:
-                    L = lens[pos:end]
-                    starts = np.repeat(lo[pos:end] + b_lo, L)
-                    within = np.arange(c) - np.repeat(csum[pos:end] - csum[pos], L)
-                    flat = starts + within - b_lo
-                    rx = np.repeat(ax[pos:end], L)
-                    rw = np.repeat(aw[pos:end], L)
-                    g = np.exp(-((rx + bx[flat]) ** 2) * inv4eps2)
-                    total += float(np.sum(rw * bw[flat] * g))
+                L = lens[pos:end]
+                # index into the larger bucket of each pair in this chunk
+                flat = np.arange(csum[end] - csum[pos]) + np.repeat(
+                    lo[pos:end] - (csum[pos:end] - csum[pos]), L
+                )
+                g = np.exp(-((np.repeat(sx[pos:end], L) + lx[flat]) ** 2) * inv4eps2)
+                total += float(np.sum(np.repeat(sw[pos:end], L) * lw[flat] * g))
                 pos = end
     return total, skipped
 
@@ -454,8 +467,12 @@ def moment_series(
     floor dropped (closed-form totals minus enumerated mass, scaled by
     the outermost shell's measured band-entry rate); it grows, and never
     silently, when n_cutoff is too small for the requested accuracy.
-    Costs rise steeply with X (weights approach 1); X <= 20 is the
-    practical sweet spot, X <= 50 the supported range.
+    Costs rise steeply with X (weights approach 1); X <= 50 is the
+    supported range. Measured for zeta at T = 5000 on a 2-core Xeon VM:
+    n_cutoff 1e5 takes about 1.5 s at X = 18 and 6 s at X = 20; at X = 30,
+    n_cutoff 1e4 exceeds the 12M-item enumeration budget (ResourceError)
+    and n_cutoff 1e3 takes about 150 s and 1.3 GB for truncation_bound/I2
+    = 0.63.
     """
     if X > X_SERIES_MAX:
         raise DomainError(f"series path supports X <= {X_SERIES_MAX}, got {X}")

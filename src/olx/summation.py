@@ -6,15 +6,21 @@ results are folded left-to-right by neumaier_sum, the package's only
 compensated loop (complex sums fold their real and imaginary parts
 through it separately). The block boundaries depend only on the input,
 never on a worker count, so two runs produce bit-identical sums
-regardless of how blocks were computed.
+regardless of how blocks were computed. exp_of_log turns a log sum back
+into a value, raising NumericError instead of overflowing a float.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterator
 
 import numpy as np
 
+from .errors import NumericError
+
 BLOCK_PRIMES = 1 << 16
+
+LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))
 
 
 def neumaier_sum(values: Iterator[float]) -> float:
@@ -47,6 +53,14 @@ def blocked_log_sum(
             yield float(np.sum(term_fn(primes[lo : lo + block])))
 
     return neumaier_sum(block_sums())
+
+
+def exp_of_log(log_value: float, what: str) -> float:
+    """math.exp(log_value), or NumericError naming `what` when the value
+    would overflow a float."""
+    if log_value > LOG_FLOAT_MAX:
+        raise NumericError(f"{what} overflows a float (log {log_value:.6g})")
+    return math.exp(log_value)
 
 
 def blocked_complex_log_sum(

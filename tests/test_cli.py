@@ -47,25 +47,29 @@ class TestExitCodes:
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("argv, want", [
-    (["mertens", "--x", "nan"], 1),
-    (["mertens", "--x", "inf"], 1),
-    (["mertens", "--x-grid", "1e2,abc"], 1),
-    (["moments", "--n-cutoff", "1e400"], 1),
-    (["evaluate", "--t", "nan"], 1),
-    (["residue", "--out", "{missing}/f"], 1),
-    (["mertens", "--model", "zeta^1000", "--x", "1e2"], 2),
-    (["resonance", "--model", "zeta^5000"], 2),
-    (["evaluate", "--model", "zeta^200", "--t", "0.001"], 2),
+@pytest.mark.parametrize("argv, want, reason", [
+    (["mertens", "--x", "nan"], 1, None),
+    (["mertens", "--x", "inf"], 1, None),
+    (["mertens", "--x-grid", "1e2,abc"], 1, None),
+    (["moments", "--n-cutoff", "1e400"], 1, None),
+    (["evaluate", "--t", "nan"], 1, None),
+    (["residue", "--out", "{missing}/f"], 1, None),
+    (["mertens", "--model", "zeta^1000", "--x", "1e2"], 2,
+     "truncated product at x = 100.0 overflows a float"),
+    (["resonance", "--model", "zeta^5000"], 2,
+     "resonance product at X = 8.944695694834484 overflows a float"),
+    (["evaluate", "--model", "zeta^200", "--t", "0.001"], 2, None),
     (["scan", "--model", "zeta^2000", "--t-min", "10", "--t-max", "20",
-      "--step", "0.5", "--Y", "100", "--top-k", "1"], 2),
+      "--step", "0.5", "--Y", "100", "--top-k", "1"], 2, None),
 ], ids=["x-nan", "x-inf", "x-grid-abc", "n-cutoff-1e400", "t-nan", "out-missing-dir",
         "mertens-overflow", "resonance-overflow", "oracle-overflow", "scan-overflow"])
-def test_bad_input_is_one_error_line(argv, want, capsys, tmp_path):
+def test_bad_input_is_one_error_line(argv, want, reason, capsys, tmp_path):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
     code, _, err = run_capture(argv, capsys)
     assert code == want
     assert re.fullmatch(r"error: \w+: [^\n]+\n", err)
+    if reason is not None:
+        assert err.startswith(f"error: numeric: {reason} (log ")
 
 
 def readme_columns():
@@ -170,11 +174,12 @@ class TestOutputs:
         assert payload["data"]["deviation"] < 0.05
 
     def test_evaluate_rs_has_no_oracle(self, capsys):
-        code, out, _ = run_capture(
-            ["evaluate", "--model", "rs-delta:500", "--t", "1.0", "--Y", "400"], capsys)
+        # without --Y the truncation defaults to the coefficient cutoff
+        code, out, _ = run_capture(["evaluate", "--model", "rs-delta:500", "--t", "1.0"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert "direct" not in payload["data"]
+        assert payload["config"]["Y"] == payload["data"]["Y"] == 500.0
 
     def test_moments_reports_agreement(self, capsys):
         code, out, _ = run_capture(

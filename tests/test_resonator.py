@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from olx.errors import DomainError
 from olx.lfamily import EULER_GAMMA
 from olx.resonator import (
     R_eval,
+    _banded_sum,
     asymptotic_bound,
     moment_quadrature,
     moment_series,
@@ -185,6 +187,51 @@ class TestResonator:
                 q = q_of_prime(p, X)
                 acc /= 1.0 - 2.0 * q * math.cos(t * math.log(p)) + q * q
             assert abs(direct / acc - 1) < 1e-12
+
+
+class TestBandedSum:
+    """The pair kernel of the series path against a direct O(N*M) sum."""
+
+    BAND = 0.05
+    INV4EPS2 = math.log(1e18) / BAND**2  # g = 1e-18 at the band edge
+    FLOOR = 1e-9  # cuts octave pairs with oa + ob >= 30
+
+    @staticmethod
+    def items(rng, n):
+        # weights over 40 octaves, x spread wide enough that most windows are empty
+        return rng.uniform(-3.0, 3.0, n), 2.0 ** -rng.uniform(0.0, 40.0, n)
+
+    def test_matches_direct_sum(self):
+        rng = np.random.default_rng(20190)
+        xA, wA = self.items(rng, 400)
+        xB, wB = self.items(rng, 250)
+        octA = np.minimum(np.floor(-np.log2(wA)), 60).astype(int)
+        octB = np.minimum(np.floor(-np.log2(wB)), 60).astype(int)
+        nA = np.bincount(octA, minlength=61)
+        nB = np.bincount(octB, minlength=61)
+        admitted = 2.0 ** -(np.arange(61)[:, None] + np.arange(61)[None, :]) >= self.FLOOR
+        both = admitted & (nA[:, None] > 0) & (nB[None, :] > 0)
+        # blocks lopsided both ways, and some cut by the floor
+        assert (both & (nA[:, None] > nB[None, :])).any()
+        assert (both & (nA[:, None] < nB[None, :])).any()
+        assert (~admitted & (nA[:, None] > 0) & (nB[None, :] > 0)).any()
+
+        s = xA[:, None] + xB[None, :]
+        keep = (np.abs(s) <= self.BAND) & admitted[octA[:, None], octB[None, :]]
+        assert keep.any() and not keep.any(axis=1).all()  # some windows are empty
+        terms = wA[:, None] * wB[None, :] * np.exp(-(s**2) * self.INV4EPS2)
+        direct = float(np.sum(terms[keep]))
+        skipped = 0.0  # octave pair count times the pair weight, in kernel order
+        for oa in range(61):
+            for ob in range(61):
+                if nA[oa] and nB[ob] and not admitted[oa, ob]:
+                    skipped += 2.0 ** (-(oa + ob)) * int(min(nA[oa], nB[ob]))
+
+        total, floor_mass = _banded_sum(xA, wA, xB, wB, self.INV4EPS2, self.BAND, self.FLOOR)
+        assert abs(total / direct - 1.0) < 1e-13
+        assert floor_mass == skipped
+        swapped, _ = _banded_sum(xB, wB, xA, wA, self.INV4EPS2, self.BAND, self.FLOOR)
+        assert abs(swapped / total - 1.0) < 1e-14
 
 
 class TestMoments:
