@@ -12,10 +12,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 SIEVE_LIMIT_MAX = 1 << 32
 SEGMENT_SIZE = 1 << 20
+Y_MAX = 100_000_000  # the sieve budget of the cached table: largest cutoff Y
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,13 @@ def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> PrimeTable:
 
 @lru_cache(maxsize=6)
 def primes_upto(limit: int) -> np.ndarray:
-    """The primes <= limit as a read-only array, cached across calls."""
+    """The primes <= limit as a read-only array, cached across calls.
+
+    Every truncation cutoff Y reaches the primes through here, so this is
+    where the sieve budget Y_MAX is enforced.
+    """
+    if limit > Y_MAX:
+        raise ResourceError(f"Y = {limit:g} exceeds the sieve budget {Y_MAX:g}")
     return sieve_primes(limit).primes
 
 

@@ -1,14 +1,14 @@
 """Large-value search over t-windows.
 
-grid_scan evaluates |F(1 + it; Y)| on a closed uniform grid (via the
-gridded-FFT exponential sum of log F for dense grids, direct products
-otherwise), keeps the top grid maxima, and re-evaluates every reported
-record with a standalone product call, so reported magnitudes never
-depend on the fast path. refine_peak runs golden-section maximization
-around a seed. Reported maxima are lower bounds on the window maximum;
-no global-optimum claim is made. bound_report compares a scan against
-the growth prediction without attaching any verdict (the prediction's
-additive constant is unknown).
+grid_scan evaluates Re log F(1 + it; Y) on the requested closed uniform
+grid (via the gridded-FFT exponential sum of log F for dense grids, a
+direct cosine sum otherwise), keeps the top grid maxima, and
+re-evaluates every reported record with a standalone product call, so
+reported magnitudes never depend on the fast path. refine_peak runs
+golden-section maximization around a seed. Reported maxima are lower
+bounds on the window maximum; no global-optimum claim is made.
+bound_report compares a scan against the growth prediction without
+attaching any verdict (the prediction's additive constant is unknown).
 """
 from __future__ import annotations
 
@@ -21,11 +21,10 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ResourceError
 from .evaluate import euler_product_on_line, log_expansion
-from .expsum import PHASE_STEP_MAX, exp_sum_on_grid
+from .expsum import exp_sum_on_grid
 from .lfamily import LFunctionModel
 from .resonator import asymptotic_bound
 
-Y_MAX = 100_000_000
 T_MAX = 100_000_000.0
 POINTS_MAX = 1 << 28
 _CHUNK = 1 << 21
@@ -85,16 +84,10 @@ def _record_at(model: LFunctionModel, t: float, Y: float, refined: bool) -> Scan
     )
 
 
-def _grid_log_re(
-    omega: np.ndarray, coeff: np.ndarray, t0: float, step: float, n: int
-) -> np.ndarray:
-    """Re log F on the n-point grid starting at t0 (fast path)."""
-    return exp_sum_on_grid(coeff, omega, t0, step, n).real
-
-
 def _direct_log_re(
-    omega: np.ndarray, coeff: np.ndarray, t0: float, step: float, n: int
+    coeff: np.ndarray, omega: np.ndarray, t0: float, step: float, n: int
 ) -> np.ndarray:
+    """exp_sum_on_grid by direct summation, points x terms."""
     out = np.empty(n)
     block = max(1, (1 << 22) // max(1, len(omega)))
     for lo in range(0, n, block):
@@ -112,8 +105,11 @@ def grid_scan(
     Y: float,
     top_k: int,
 ) -> list[ScanRecord]:
-    """Top grid maxima of |F(1 + it; Y)| on the closed uniform grid.
+    """Top grid maxima of |F(1 + it; Y)| on the closed uniform grid
+    t_min, t_min + step, ..., <= t_max.
 
+    The grid is the requested one at any step: each of its points is
+    evaluated exactly once, on the FFT path as on the direct one.
     Descending magnitude, ties toward smaller t; deterministic for any
     worker count (fixed chunking, ordered merge). Each returned record is
     re-evaluated with a standalone product call.
@@ -121,8 +117,6 @@ def grid_scan(
     t_min, t_max, step, Y = float(t_min), float(t_max), float(step), float(Y)
     if top_k < 1:
         raise DomainError("top_k must be >= 1")
-    if Y > Y_MAX:
-        raise ResourceError(f"Y = {Y:g} exceeds the sieve budget {Y_MAX:g}")
     if abs(t_max) > T_MAX or abs(t_min) > T_MAX:
         raise ResourceError(
             f"scan window beyond |t| = {T_MAX:g} (phase precision budget)"
@@ -140,44 +134,20 @@ def grid_scan(
             "raise step or shrink the window"
         )
     omega, coeff = log_expansion(model, Y)
-    omega_max = float(np.max(omega)) if len(omega) else 0.0
-
     use_direct = n_points * max(1, len(omega)) <= _DIRECT_WORK_MAX
-    refine = 1
-    if not use_direct:
-        refine = max(1, math.ceil(step * omega_max / PHASE_STEP_MAX))
-        if refine > 4:
-            raise ResourceError(
-                f"step {step} too coarse for the dense-grid path at Y = {Y:g}; "
-                "shrink the window or the step"
-            )
-    fine_step = step / refine
-    fine_n = (n_points - 1) * refine + 1
 
     def chunk_candidates(ci: int) -> list[tuple[float, float]]:
         lo = ci * _CHUNK
-        hi = min(lo + _CHUNK, fine_n)
-        t0 = t_min + lo * fine_step
-        if use_direct:
-            re_log = _direct_log_re(omega, coeff, t0, fine_step, hi - lo)
-        else:
-            re_log = _grid_log_re(omega, coeff, t0, fine_step, hi - lo)
-        # restrict to indices on the requested (coarse) grid
-        offset = (-lo) % refine
-        re_log = re_log[offset::refine]
-        if len(re_log) == 0:
-            return []
+        n = min(_CHUNK, n_points - lo)
+        log_re = _direct_log_re if use_direct else exp_sum_on_grid
+        re_log = log_re(coeff, omega, t_min + lo * step, step, n)
         # over-select, then stable-sort so within-chunk ties land on smaller t
-        kk = min(4 * top_k, len(re_log))
+        kk = min(4 * top_k, n)
         idx = np.argpartition(-re_log, kk - 1)[:kk]
-        idx = idx[np.lexsort((idx, -re_log[idx]))][: min(top_k, len(re_log))]
-        out = []
-        for i in idx:
-            fine_index = lo + offset + int(i) * refine
-            out.append((float(re_log[i]), t_min + (fine_index // refine) * step))
-        return out
+        idx = idx[np.lexsort((idx, -re_log[idx]))][: min(top_k, n)]
+        return [(float(re_log[i]), t_min + (lo + int(i)) * step) for i in idx]
 
-    n_chunks = (fine_n + _CHUNK - 1) // _CHUNK
+    n_chunks = (n_points + _CHUNK - 1) // _CHUNK
     workers = min(env_threads() or os.cpu_count() or 1, n_chunks)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

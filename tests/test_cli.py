@@ -61,8 +61,11 @@ class TestExitCodes:
     (["evaluate", "--model", "zeta^200", "--t", "0.001"], 2, None),
     (["scan", "--model", "zeta^2000", "--t-min", "10", "--t-max", "20",
       "--step", "0.5", "--Y", "100", "--top-k", "1"], 2, None),
+    (["evaluate", "--Y", "1e9"], 3, None),
+    (["calibrate", "--Y", "1e9", "--samples", "1"], 3, None),
 ], ids=["x-nan", "x-inf", "x-grid-abc", "n-cutoff-1e400", "t-nan", "out-missing-dir",
-        "mertens-overflow", "resonance-overflow", "oracle-overflow", "scan-overflow"])
+        "mertens-overflow", "resonance-overflow", "oracle-overflow", "scan-overflow",
+        "evaluate-sieve-budget", "calibrate-sieve-budget"])
 def test_bad_input_is_one_error_line(argv, want, reason, capsys, tmp_path):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
     code, _, err = run_capture(argv, capsys)

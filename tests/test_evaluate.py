@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from olx.errors import DomainError, RangeError, UnsupportedModelError
@@ -15,6 +16,7 @@ from olx.evaluate import (
 )
 from olx.lfamily import make_rankin_selberg_delta
 from olx.mertens import truncated_product_at_1
+from olx.primes import character_table
 from olx.resonator import (
     moment_quadrature,
     moment_series,
@@ -82,6 +84,28 @@ class TestCrossOracle:
             a = zeta_em(complex(1.0, t))
             b = zeta_eta(complex(1.0, t))
             assert abs(a - b) <= 1e-10 * (1 + abs(a)), t
+
+
+class TestMpmathOracle:
+    """A third oracle, independent of both in-package paths; test-only."""
+
+    def test_zeta_on_the_line(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20)
+        with mpmath.workdps(25):
+            for t in rng.uniform(1.0, 1e4, 20):
+                ref = complex(mpmath.zeta(mpmath.mpc(1, t)))
+                assert abs(zeta_em(complex(1.0, t)) - ref) <= 1e-10, t
+
+    @pytest.mark.parametrize("d", [-4, 5])
+    def test_dirichlet_on_the_line(self, d):
+        mpmath = pytest.importorskip("mpmath")
+        chi = [int(c) for c in character_table(d)]
+        rng = np.random.default_rng(abs(d))
+        with mpmath.workdps(25):
+            for t in rng.uniform(1.0, 1e4, 5):
+                ref = complex(mpmath.dirichlet(mpmath.mpc(1, t), chi))
+                assert abs(dirichlet_direct(d, t) - ref) <= 1e-9, t
 
 
 class TestDirichletDirect:

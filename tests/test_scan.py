@@ -10,27 +10,37 @@ from olx.expsum import exp_sum_on_grid
 from olx.scan import bound_report, grid_scan, refine_peak
 
 
+def _complex_grid(coeff, omega, t0, step, n):
+    # exp_sum_on_grid returns the real part; Re(-i z) = Im z gives the rest
+    return (exp_sum_on_grid(coeff, omega, t0, step, n)
+            + 1j * exp_sum_on_grid(-1j * coeff, omega, t0, step, n))
+
+
 class TestExpSum:
     def test_against_direct(self):
         rng = np.random.default_rng(5)
         omega = np.sort(rng.uniform(0.5, 30.0, 500))
         coeff = rng.uniform(-1.0, 1.0, 500) / omega
         t0, step, n = 250.0, 0.05, 4096
-        fast = exp_sum_on_grid(coeff, omega, t0, step, n)
+        fast = _complex_grid(coeff, omega, t0, step, n)
         for j in (0, 1, 17, 2048, 4095):
             t = t0 + j * step
             direct = np.sum(coeff * np.exp(-1j * t * omega))
             assert abs(fast[j] - direct) < 1e-10
 
-    def test_phase_step_guard(self):
-        with pytest.raises(DomainError):
-            exp_sum_on_grid(np.ones(1), np.array([10.0]), 0.0, 1.0, 64)
+    def test_phase_step_sweep(self):
+        # the spreading is cyclic, so the error does not grow with the phase
+        # step; 0.001 and 6.28 spread across the grid's wrap-around point
+        j = np.arange(512)
+        for theta in (0.001, 2.5, 3.1, 6.2, 6.28, 10.0, 57.6):
+            vals = _complex_grid(np.ones(1), np.array([theta]), 0.0, 1.0, 512)
+            assert np.abs(vals - np.exp(-1j * j * theta)).max() <= 1e-11
 
     def test_band_edge_accuracy(self):
-        # a unit coefficient at the very edge of the admissible phase band
+        # a unit coefficient at 1.97, the edge of the phase band the grid once admitted
         omega = np.array([1.97])
         coeff = np.array([1.0])
-        vals = exp_sum_on_grid(coeff, omega, 0.0, 1.0, 512)
+        vals = _complex_grid(coeff, omega, 0.0, 1.0, 512)
         j = np.arange(512)
         exact = np.exp(-1j * j * 1.97)
         assert np.abs(vals - exact).max() < 2e-9
@@ -62,6 +72,26 @@ class TestGridScan:
     def test_fast_path_matches_direct_path(self, zeta, monkeypatch):
         window = (1000.0, 1250.0, 0.02, 1e5, 5)
         fast = grid_scan(zeta, *window)
+        monkeypatch.setattr(scan_mod, "_DIRECT_WORK_MAX", 1 << 62)
+        slow = grid_scan(zeta, *window)
+        assert [r.t for r in fast] == [r.t for r in slow]
+        for a, b in zip(fast, slow):
+            assert abs(a.magnitude - b.magnitude) <= 1e-12 * a.magnitude
+
+    def test_coarse_step_fast_path_matches_direct_path(self, zeta, monkeypatch):
+        # step * max(omega) is about 20; the FFT path transforms each
+        # requested grid point exactly once, with no finer grid
+        window = (1000.0, 6000.0, 0.5, 1e4, 5)
+        points = []
+
+        def counting(coeffs, omegas, t0, step, n):
+            points.append(n)
+            return exp_sum_on_grid(coeffs, omegas, t0, step, n)
+
+        monkeypatch.setattr(scan_mod, "exp_sum_on_grid", counting)
+        monkeypatch.setattr(scan_mod, "_DIRECT_WORK_MAX", 0)
+        fast = grid_scan(zeta, *window)
+        assert sum(points) == 10001
         monkeypatch.setattr(scan_mod, "_DIRECT_WORK_MAX", 1 << 62)
         slow = grid_scan(zeta, *window)
         assert [r.t for r in fast] == [r.t for r in slow]
