@@ -19,7 +19,7 @@ import numpy as np
 
 from .charsum import periodic_lseries
 from .errors import DomainError, NumericError, RangeError, ResourceError
-from .primes import character_table, sieve_primes
+from .primes import character_table, primes_upto
 
 TAU_N_MAX = 20_000
 
@@ -172,6 +172,9 @@ class TauTable:
         return self.values[n - 1]
 
 
+_TAU_MODULI = (2147483647, 2147483629, 2147483587)
+
+
 @lru_cache(maxsize=8)
 def tau_table(N: int) -> TauTable:
     """tau(1..N) from Delta = q * (eta^3)^8 in exact integers.
@@ -179,26 +182,35 @@ def tau_table(N: int) -> TauTable:
     By Jacobi's identity eta^3 = prod (1 - q^n)^3 is the sparse series
     sum_k (-1)^k (2k+1) q^(k(k+1)/2), with about sqrt(2N) terms below q^N,
     so the eighth power takes seven truncated multiplications, each a sum
-    of shifted copies of an integer (object) array.
+    of shifted copies. They run in int64 modulo three primes below 2^31,
+    reduced once per multiplication: with |2k+1| <= 401 and about 200
+    terms every partial sum stays below 2^49. The values are rebuilt by
+    the Chinese remainder theorem, which is exact because
+    |tau(n)| <= d(n) n^(11/2) <= 2 n^6 < M/2 for the moduli product M.
     """
     if N < 1:
         raise DomainError("tau table needs N >= 1")
     if N > TAU_N_MAX:
         raise ResourceError(f"tau table budget is N <= {TAU_N_MAX}, got {N}")
+    M = math.prod(_TAU_MODULI)
+    if 4 * N**6 >= M:
+        raise NumericError(f"tau values up to n = {N} exceed the CRT range")
     terms = []
     k = 0
     while k * (k + 1) // 2 < N:
         terms.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
         k += 1
-    power = np.zeros(N, dtype=object)
+    moduli = np.array(_TAU_MODULI, dtype=np.int64)[:, None]
+    power = np.zeros((len(_TAU_MODULI), N), dtype=np.int64)
     for e, c in terms:
-        power[e] = c
+        power[:, e] = c
     for _ in range(7):
-        acc = np.zeros(N, dtype=object)
+        acc = np.zeros_like(power)
         for e, c in terms:
-            acc[e:] += c * power[: N - e]
-        power = acc
-    return TauTable(N=N, values=tuple(power.tolist()))
+            acc[:, e:] += c * power[:, : N - e]
+        power = acc % moduli
+    lift = sum(r.astype(object) * (M // m * pow(M // m, -1, m)) for r, m in zip(power, _TAU_MODULI))
+    return TauTable(N=N, values=tuple(int(v) - M if v > M // 2 else int(v) for v in lift % M))
 
 
 def make_zeta_power(m: int) -> LFunctionModel:
@@ -263,7 +275,7 @@ def _rs_lambda_sq(N: int) -> tuple[np.ndarray, np.ndarray]:
     would put a root off the unit circle and signals a tau bug.
     """
     table = tau_table(N)
-    primes = sieve_primes(N).primes
+    primes = primes_upto(N)
     lam_sq = np.empty(len(primes))
     for i, p in enumerate(primes):
         p = int(p)

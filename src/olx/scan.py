@@ -1,10 +1,11 @@
 """Large-value search over t-windows.
 
 grid_scan evaluates Re log F(1 + it; Y) on the requested closed uniform
-grid (via the gridded-FFT exponential sum of log F for dense grids, a
-direct cosine sum otherwise), keeps the top grid maxima, and
-re-evaluates every reported record with a standalone product call, so
-reported magnitudes never depend on the fast path. refine_peak runs
+grid with one path, the gridded-FFT exponential sum of log F, whose
+distance from the log of a standalone product is at most a certified eps
+(expsum docstring). Every grid point within 2 eps of the k-th value is
+re-evaluated with a standalone product, so the records are exactly the
+top k of all grid points by standalone magnitude. refine_peak runs
 golden-section maximization around a seed. Reported maxima are lower
 bounds on the window maximum; no global-optimum claim is made.
 bound_report compares a scan against the growth prediction without
@@ -20,15 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, ResourceError
-from .evaluate import euler_product_on_line, log_expansion
-from .expsum import exp_sum_on_grid
+from .evaluate import EXPANSION_DROP_MAX, T_MAX, euler_product_on_line, log_expansion
+from .expsum import error_bound, exp_sum_on_grid
 from .lfamily import LFunctionModel
+from .primes import primes_upto
 from .resonator import asymptotic_bound
 
-T_MAX = 100_000_000.0
 POINTS_MAX = 1 << 28
+CANDIDATES_PER_RECORD = 64  # standalone products a scan may spend per record
 _CHUNK = 1 << 21
-_DIRECT_WORK_MAX = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -84,17 +85,17 @@ def _record_at(model: LFunctionModel, t: float, Y: float, refined: bool) -> Scan
     )
 
 
-def _direct_log_re(
-    coeff: np.ndarray, omega: np.ndarray, t0: float, step: float, n: int
-) -> np.ndarray:
-    """exp_sum_on_grid by direct summation, points x terms."""
-    out = np.empty(n)
-    block = max(1, (1 << 22) // max(1, len(omega)))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        t = t0 + step * np.arange(lo, hi)
-        out[lo:hi] = np.cos(t[:, None] * omega[None, :]) @ coeff
-    return out
+def _survivors(values: np.ndarray, top_k: int, eps: float) -> np.ndarray:
+    """Indices of the values within 2 eps of the top_k-th largest: a
+    superset of the top_k by any ranking that moves no value by more than
+    eps."""
+    k = min(top_k, len(values))
+    kth = np.partition(values, len(values) - k)[len(values) - k]
+    idx = np.flatnonzero(values >= kth - 2.0 * eps)
+    if len(idx) > CANDIDATES_PER_RECORD * top_k:
+        raise ResourceError(f"{len(idx)} grid values within 2 eps = {2 * eps:.1e} of the top "
+                            f"{top_k} exceed the budget of {CANDIDATES_PER_RECORD} per record")
+    return idx
 
 
 def grid_scan(
@@ -108,19 +109,19 @@ def grid_scan(
     """Top grid maxima of |F(1 + it; Y)| on the closed uniform grid
     t_min, t_min + step, ..., <= t_max.
 
-    The grid is the requested one at any step: each of its points is
-    evaluated exactly once, on the FFT path as on the direct one.
-    Descending magnitude, ties toward smaller t; deterministic for any
-    worker count (fixed chunking, ordered merge). Each returned record is
-    re-evaluated with a standalone product call.
+    The FFT path evaluates each grid point once, at any step. Each chunk
+    and then the merge keep every point within 2 eps of the top_k-th
+    value; the survivors are re-evaluated with standalone products, so the
+    records are the top_k grid points by standalone magnitude, descending,
+    ties toward smaller t, for any worker count (fixed chunking, ordered
+    merge).
     """
     t_min, t_max, step, Y = float(t_min), float(t_max), float(step), float(Y)
     if top_k < 1:
         raise DomainError("top_k must be >= 1")
-    if abs(t_max) > T_MAX or abs(t_min) > T_MAX:
-        raise ResourceError(
-            f"scan window beyond |t| = {T_MAX:g} (phase precision budget)"
-        )
+    t_abs = max(abs(t_min), abs(t_max))
+    if t_abs > T_MAX:
+        raise ResourceError(f"scan window beyond |t| = {T_MAX:g} (phase precision budget)")
     if t_min == t_max:
         return [_record_at(model, t_min, Y, refined=False)]
     if t_min > t_max:
@@ -134,33 +135,30 @@ def grid_scan(
             "raise step or shrink the window"
         )
     omega, coeff = log_expansion(model, Y)
-    use_direct = n_points * max(1, len(omega)) <= _DIRECT_WORK_MAX
+    # selection tolerance: grid value vs log standalone magnitude (expsum docstring)
+    local_logs = model.degree * len(primes_upto(int(Y)))
+    eps = (error_bound(coeff, omega, t_abs, min(_CHUNK, n_points))
+           + model.degree * EXPANSION_DROP_MAX
+           + 2.0**-53 * (4 * local_logs + 24 * np.abs(coeff).sum() + 8))
 
-    def chunk_candidates(ci: int) -> list[tuple[float, float]]:
+    def chunk_survivors(ci: int) -> tuple[np.ndarray, np.ndarray]:
         lo = ci * _CHUNK
-        n = min(_CHUNK, n_points - lo)
-        log_re = _direct_log_re if use_direct else exp_sum_on_grid
-        re_log = log_re(coeff, omega, t_min + lo * step, step, n)
-        # over-select, then stable-sort so within-chunk ties land on smaller t
-        kk = min(4 * top_k, n)
-        idx = np.argpartition(-re_log, kk - 1)[:kk]
-        idx = idx[np.lexsort((idx, -re_log[idx]))][: min(top_k, n)]
-        return [(float(re_log[i]), t_min + (lo + int(i)) * step) for i in idx]
+        re_log = exp_sum_on_grid(coeff, omega, t_min + lo * step, step, min(_CHUNK, n_points - lo))
+        idx = _survivors(re_log, top_k, eps)
+        return re_log[idx], lo + idx
 
     n_chunks = (n_points + _CHUNK - 1) // _CHUNK
     workers = min(env_threads() or os.cpu_count() or 1, n_chunks)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_chunk = list(pool.map(chunk_candidates, range(n_chunks)))
+            per_chunk = list(pool.map(chunk_survivors, range(n_chunks)))
     else:
-        per_chunk = [chunk_candidates(ci) for ci in range(n_chunks)]
-    candidates = [c for chunk in per_chunk for c in chunk]
-    candidates.sort(key=lambda c: (-c[0], c[1]))
-    records = [
-        _record_at(model, t, Y, refined=False) for _, t in candidates[:top_k]
-    ]
+        per_chunk = [chunk_survivors(ci) for ci in range(n_chunks)]
+    values, index = (np.concatenate(parts) for parts in zip(*per_chunk))
+    records = [_record_at(model, t_min + int(i) * step, Y, refined=False)
+               for i in index[_survivors(values, top_k, eps)]]
     records.sort(key=lambda r: (-r.magnitude, r.t))
-    return records
+    return records[:top_k]
 
 
 def refine_peak(
@@ -171,8 +169,8 @@ def refine_peak(
     bracket: float,
 ) -> ScanRecord:
     """Golden-section maximization of |F(1 + it; Y)| on
-    [t_seed - bracket, t_seed + bracket]; stops when the bracket is below
-    tol. The returned magnitude never falls below the seed's (the best
+    [t_seed - bracket, t_seed + bracket] within |t| <= T_MAX; stops when
+    the bracket is below tol. The returned magnitude never falls below the seed's (the best
     evaluated point wins, and the seed is evaluated)."""
     if tol < 1e-9:
         raise DomainError(f"refinement tolerance must be >= 1e-9, got {tol}")
@@ -180,15 +178,12 @@ def refine_peak(
         raise DomainError("bracket half-width must be positive")
 
     def mag(t: float) -> float:
-        m = abs(euler_product_on_line(model, t, Y))
-        if not math.isfinite(m):
-            raise NumericError(f"non-finite product magnitude at t = {t}")
-        return m
+        return _record_at(model, t, Y, refined=True).magnitude
 
     best_t = float(t_seed)
     best_m = mag(best_t)
-    a = t_seed - bracket
-    b = t_seed + bracket
+    a = max(t_seed - bracket, -T_MAX)  # a seed at the budget edge stays refinable
+    b = min(t_seed + bracket, T_MAX)
     if b - a <= tol:
         return _record_at(model, best_t, Y, refined=True)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from olx.errors import DomainError, RangeError, UnsupportedModelError
+from olx.errors import DomainError, RangeError, ResourceError, UnsupportedModelError
 from olx.evaluate import (
+    T_MAX,
     calibrate_truncation,
     dirichlet_direct,
     direct_value,
@@ -22,6 +23,7 @@ from olx.resonator import (
     moment_series,
     resonance_products_at_cutoff,
 )
+from olx.scan import grid_scan, refine_peak
 
 # zeta(1+i), frozen from both in-package oracles (they agree to 4e-16) and
 # cross-checked against an independent multiprecision evaluation
@@ -183,6 +185,21 @@ def test_cutoff_guard_at_every_entry_point(call):
     model = make_rankin_selberg_delta(20)
     with pytest.raises(RangeError, match=r"cutoff 30\.0 beyond coefficient cutoff 20\.0"):
         call(model, 30.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, t: euler_product_on_line(m, t, 100.0),
+    lambda m, t: calibrate_truncation(m, (t / 2, t), 100.0, 1, 1),
+    lambda m, t: refine_peak(m, t, 100.0, 1e-6, 0.05),
+    lambda m, t: grid_scan(m, -t, t / 2, t / 4, 100.0, 1),
+], ids=["euler_product_on_line", "calibrate_truncation", "refine_peak", "grid_scan"])
+def test_phase_budget_at_every_t_entry_point(call, zeta):
+    # past T_MAX no digit of the phases t log p is trustworthy
+    with pytest.raises(ResourceError, match="phase precision budget"):
+        call(zeta, 1e300)
+    with pytest.raises(ResourceError, match="phase precision budget"):
+        call(zeta, 2 * T_MAX)
+    assert abs(euler_product_on_line(zeta, -T_MAX, 100.0)) > 0
 
 
 class TestLogExpansion:

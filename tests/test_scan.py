@@ -5,9 +5,20 @@ import pytest
 
 import olx.scan as scan_mod
 from olx.errors import DomainError, ResourceError
-from olx.evaluate import euler_product_on_line
-from olx.expsum import exp_sum_on_grid
-from olx.scan import bound_report, grid_scan, refine_peak
+from olx.evaluate import T_MAX, euler_product_on_line
+from olx.expsum import error_bound, exp_sum_on_grid
+from olx.scan import CANDIDATES_PER_RECORD, _survivors, bound_report, grid_scan, refine_peak
+
+
+def _direct_log_re(coeff, omega, t0, step, n):
+    """exp_sum_on_grid by direct summation, points x terms: the test oracle."""
+    out = np.empty(n)
+    block = max(1, (1 << 22) // max(1, len(omega)))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        t = t0 + step * np.arange(lo, hi)
+        out[lo:hi] = np.cos(t[:, None] * omega[None, :]) @ coeff
+    return out
 
 
 def _complex_grid(coeff, omega, t0, step, n):
@@ -35,6 +46,20 @@ class TestExpSum:
         for theta in (0.001, 2.5, 3.1, 6.2, 6.28, 10.0, 57.6):
             vals = _complex_grid(np.ones(1), np.array([theta]), 0.0, 1.0, 512)
             assert np.abs(vals - np.exp(-1j * j * theta)).max() <= 1e-11
+
+    def test_seeded_sweep_within_stated_bound(self):
+        # theta = step * omega up to 400, t0 up to T_MAX, n from 2 to 2^12
+        rng = np.random.default_rng(2024)
+        for n in (2, 3, 17, 64, 511, 4096):
+            for t0 in (0.0, -3e3, 7e5, -T_MAX / 2, T_MAX - 5e3):
+                terms = int(rng.integers(1, 40))
+                omega = rng.uniform(0.5, 20.0, terms)
+                coeff = rng.uniform(-1.0, 1.0, terms) / omega
+                step = rng.uniform(0.0, 400.0) / omega.max()
+                t_abs = max(abs(t0), abs(t0 + (n - 1) * step))
+                fast = exp_sum_on_grid(coeff, omega, t0, step, n)
+                direct = _direct_log_re(coeff, omega, t0, step, n)
+                assert np.abs(fast - direct).max() <= error_bound(coeff, omega, t_abs, n)
 
     def test_band_edge_accuracy(self):
         # a unit coefficient at 1.97, the edge of the phase band the grid once admitted
@@ -72,7 +97,7 @@ class TestGridScan:
     def test_fast_path_matches_direct_path(self, zeta, monkeypatch):
         window = (1000.0, 1250.0, 0.02, 1e5, 5)
         fast = grid_scan(zeta, *window)
-        monkeypatch.setattr(scan_mod, "_DIRECT_WORK_MAX", 1 << 62)
+        monkeypatch.setattr(scan_mod, "exp_sum_on_grid", _direct_log_re)
         slow = grid_scan(zeta, *window)
         assert [r.t for r in fast] == [r.t for r in slow]
         for a, b in zip(fast, slow):
@@ -89,14 +114,30 @@ class TestGridScan:
             return exp_sum_on_grid(coeffs, omegas, t0, step, n)
 
         monkeypatch.setattr(scan_mod, "exp_sum_on_grid", counting)
-        monkeypatch.setattr(scan_mod, "_DIRECT_WORK_MAX", 0)
         fast = grid_scan(zeta, *window)
         assert sum(points) == 10001
-        monkeypatch.setattr(scan_mod, "_DIRECT_WORK_MAX", 1 << 62)
+        monkeypatch.setattr(scan_mod, "exp_sum_on_grid", _direct_log_re)
         slow = grid_scan(zeta, *window)
         assert [r.t for r in fast] == [r.t for r in slow]
         for a, b in zip(fast, slow):
             assert abs(a.magnitude - b.magnitude) <= 1e-12 * a.magnitude
+
+    @pytest.mark.parametrize("model, window", [
+        ("zeta", (100.0, 110.0, 0.05, 1e3)),
+        ("gauss", (-6.0, 6.0, 0.25, 300.0)),
+    ], ids=["asymmetric", "symmetric"])
+    def test_records_are_top_k_of_full_grid(self, model, window, request):
+        # oracle: a standalone product at every grid point, ranked by
+        # (-magnitude, t); in the symmetric window every value is a +-t tie,
+        # and each even k cuts a tie in two
+        model = request.getfixturevalue(model)
+        t_min, t_max, step, Y = window
+        n = int(math.floor((t_max - t_min) / step + 1.0 + 1e-9))
+        grid = [t_min + i * step for i in range(n)]
+        oracle = sorted((-abs(euler_product_on_line(model, t, Y)), t) for t in grid)
+        for k in range(1, 13):
+            recs = grid_scan(model, *window, k)
+            assert [(-r.magnitude, r.t) for r in recs] == oracle[:k]
 
     def test_deterministic(self, gauss):
         a = grid_scan(gauss, 50.0, 60.0, 0.01, 1000.0, 5)
@@ -136,6 +177,30 @@ class TestGridScan:
             grid_scan(zeta, 0.0, 2e8, 1.0, 100.0, 1)
 
 
+class TestSelection:
+    def test_planted_near_ties_survive(self):
+        # true values with near-ties below 1e-11 at and around the k-th;
+        # the grid sees them moved by up to eps in either direction
+        rng = np.random.default_rng(11)
+        eps, k = 3e-11, 4
+        for _ in range(200):
+            true = rng.uniform(0.0, 1.0, 500)
+            top = np.argsort(-true)[:k + 3]
+            true[top] = 2.0 + rng.uniform(0.0, 1e-11, len(top))
+            seen = true + rng.uniform(-eps, eps, len(true))
+            best = sorted(range(len(true)), key=lambda i: (-true[i], i))[:k]
+            assert set(best) <= set(_survivors(seen, k, eps).tolist())
+
+    def test_flat_values_hit_the_budget(self):
+        flat = np.zeros(CANDIDATES_PER_RECORD * 3 + 1)
+        with pytest.raises(ResourceError):
+            _survivors(flat, 3, 1e-12)
+
+    def test_budget_counts_only_near_values(self):
+        values = np.arange(CANDIDATES_PER_RECORD * 10, dtype=float)
+        assert _survivors(values, 2, 1e-12).tolist() == [len(values) - 2, len(values) - 1]
+
+
 class TestRefinePeak:
     def test_improves_on_seed(self, zeta):
         seed = grid_scan(zeta, 171.0, 172.0, 0.05, 1e4, 1)[0]
@@ -152,6 +217,12 @@ class TestRefinePeak:
         a = refine_peak(zeta, seed_t, 1e4, 1e-5, 0.05)
         b = refine_peak(zeta, seed_t, 1e4, 1e-6, 0.05)
         assert b.magnitude >= a.magnitude - 1e-12
+
+    def test_bracket_stays_within_phase_budget(self, zeta):
+        # a grid record at the edge of the budget can still be refined
+        for seed in (T_MAX, -T_MAX):
+            ref = refine_peak(zeta, seed, 100.0, 1e-6, 0.5)
+            assert abs(ref.t) <= T_MAX and ref.refined
 
     def test_tol_floor(self, zeta):
         with pytest.raises(DomainError):
