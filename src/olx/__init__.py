@@ -15,6 +15,7 @@ from .errors import (
     OlxError,
     RangeError,
     ResourceError,
+    SieveBudgetError,
     UnsupportedModelError,
 )
 from .lfamily import (
@@ -84,6 +85,7 @@ __all__ = [
     "ResonatorConfig",
     "ResourceError",
     "ScanRecord",
+    "SieveBudgetError",
     "TauTable",
     "UnsupportedModelError",
     "__version__",

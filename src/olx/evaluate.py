@@ -127,23 +127,55 @@ def dirichlet_direct(d: int, t: float) -> complex:
 
 def _log_terms_on_line(
     model: LFunctionModel, primes: np.ndarray, t: float
-) -> np.ndarray:
-    """Per-prime complex log of the local factors at s = 1 + it."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-prime real and imaginary parts of the log of the local factors
+    (1 - alpha w)^(-1) at s = 1 + it, in real arithmetic.
+
+    With r = 1/p, phi = t log p and w = p^(-s) = r e^(-i phi), a real root
+    a contributes
+        -log(1 - a w) = -1/2 log1p(ar (ar - 2 cos phi))
+                        - i atan2(ar sin phi, 1 - ar cos phi),
+    and a pair of unit-modulus roots e^(+-i theta), c = cos theta,
+    contributes -log f, f = 1 - 2c w + w^2, from A = Re f - 1 =
+    r (r cos 2phi - 2c cos phi) and B = Im f = r (2c sin phi - r sin 2phi):
+        -log f = -1/2 log1p(A (2 + A) + B^2) - i atan2(B, 1 + A).
+    cos phi and sin phi are taken once per prime; the double angles follow
+    from them. The rounding of these terms is bounded in the expsum
+    docstring.
+    """
     real, pair_re = model.root_blocks(primes)
-    logp = np.log(primes.astype(np.float64))
-    w = np.exp(-(1.0 + 1j * t) * logp)
-    terms = np.zeros(len(primes), dtype=np.complex128)
+    # block-sized temporaries are reused in place (out=): each fresh one
+    # costs page faults once the previous block's memory was returned
+    pf = primes.astype(np.float64)
+    r = 1.0 / pf
+    phi = np.log(pf, out=pf)
+    phi *= t
+    cos = np.cos(phi)
+    sin = np.sin(phi, out=phi)
+    re = np.zeros(len(primes))
+    im = np.zeros(len(primes))
     for j in range(real.shape[1]):
-        f = 1.0 - real[:, j] * w
-        if np.min(np.abs(f)) < 1e-15:
+        ar = real[:, j] * r
+        abs_f2_m1 = ar - 2.0 * cos
+        abs_f2_m1 *= ar  # |1 - a w|^2 - 1
+        if not 1.0 + np.min(abs_f2_m1) >= 1e-30:
             raise NumericError("degenerate local factor on the 1-line")
-        terms -= np.log(f)
+        re -= 0.5 * np.log1p(abs_f2_m1, out=abs_f2_m1)
+        re_f = 1.0 - ar * cos
+        im -= np.arctan2(np.multiply(ar, sin, out=ar), re_f, out=re_f)
+    if pair_re.shape[1]:
+        cos2 = 2.0 * cos * cos - 1.0
+        sin2 = 2.0 * sin * cos
     for j in range(pair_re.shape[1]):
-        f = 1.0 - 2.0 * pair_re[:, j] * w + w * w
-        if np.min(np.abs(f)) < 1e-15:
+        c = pair_re[:, j]
+        a = r * (r * cos2 - 2.0 * c * cos)
+        b = r * (2.0 * c * sin - r * sin2)
+        abs_f2_m1 = a * (2.0 + a) + b * b
+        if not 1.0 + np.min(abs_f2_m1) >= 1e-30:
             raise NumericError("degenerate local factor on the 1-line")
-        terms -= np.log(f)
-    return terms
+        re -= 0.5 * np.log1p(abs_f2_m1)
+        im -= np.arctan2(b, 1.0 + a)
+    return re, im
 
 
 def euler_product_on_line(model: LFunctionModel, t: float, Y: float) -> complex:

@@ -37,8 +37,23 @@ theta up to 57.6 (bound 1.7e-12 to 6.7e-11) and 4.4e-12 at theta = 400
 Selection tolerance. grid_scan's eps, which bounds |values[j] - log |F||
 for the standalone product F(1 + it; Y), adds to error_bound the mass that
 log_expansion drops (under 1e-13 per unit of degree) and the standalone
-product's rounding: 4u per local log factor (degree times pi(Y), each
-rounded near 1), 24u sum |c_k| for its blocked sum, 8u for exp and modulus.
+product's rounding, its phases phi = t log p taken as computed (their
+rounding is in (b)):
+  * per local log factor at prime p, at most 72u/p, to first order, for
+    roots of modulus <= 1 (evaluate._log_terms_on_line; each operation
+    rounds by u, and cos, sin and log1p stay within 1 ulp, as numpy's own
+    float64 accuracy tests check). A real root a, rho = |a|/p <= 1/2,
+    gets its log1p argument x = |1 - a w|^2 - 1 to within
+    rho u (4 |rho - 2s| + 2 rho + 2), s = +-cos phi, which halving and
+    1/(1 + x) <= 1/(1 - rho)^2 turn, with log1p's ulp, into at most 21u/p
+    (7u/p for large p). For a pair, A and B are within rho u (12 rho + 10)
+    and rho u (8.9 rho + 10); the log1p argument |f|^2 - 1 then moves by
+    at most 2 |f| |(dA, dB)| plus its own roundings, and dividing by
+    |f|^2 >= (1 - rho)^4 gives at most 71u/p per root, at p = 2 (12u/p
+    for large p). Adding a prime's terms rounds by at most u (degree - 1)
+    times their total, under 1.4 (degree - 1) u/p per factor. In all,
+    (72 + 1.4 (degree - 1)) u degree sum_{p <= Y} 1/p;
+  * 24u sum |c_k| for its blocked sum, and 8u for exp and modulus.
 """
 from __future__ import annotations
 

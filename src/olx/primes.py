@@ -12,10 +12,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, SieveBudgetError
 
 SIEVE_LIMIT_MAX = 1 << 32
-SEGMENT_SIZE = 1 << 20
+SEGMENT_SIZE = 1 << 21
 Y_MAX = 100_000_000  # the sieve budget of the cached table: largest cutoff Y
 
 
@@ -48,32 +48,38 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 
 def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> PrimeTable:
-    """Segmented sieve of Eratosthenes.
+    """Segmented sieve of Eratosthenes over the odd numbers.
 
-    Memory is bounded by segment_size, not limit, so scans can ask for
-    primes up to 1e8 without holding a mask of that size. Segments are
-    processed in ascending order; the result is deterministic.
+    Memory is bounded by segment_size (integers per segment, held as one
+    flag per odd number), not limit, so scans can ask for primes up to 1e8
+    without holding a mask of that size. Segments are processed in
+    ascending order; the result is deterministic.
     """
-    if not (2 <= limit <= SIEVE_LIMIT_MAX):
-        raise DomainError(f"sieve limit must satisfy 2 <= limit <= 2^32, got {limit}")
+    if not limit >= 2:
+        raise DomainError(f"sieve limit must be >= 2, got {limit}")
+    if limit > SIEVE_LIMIT_MAX:
+        raise SieveBudgetError(f"sieve limit {limit:g} exceeds the sieve budget 2^32")
     limit = int(limit)
-    base = _simple_sieve(math.isqrt(limit))
+    root = math.isqrt(limit)
+    base = _simple_sieve(root)
+    odd_base = base[1:]
+    squares = odd_base * odd_base
     chunks = [base]
-    lo = int(base[-1]) + 1 if base.size else 2
+    if root < 2:
+        chunks.append(np.array([2], dtype=np.int64))
+    lo = max(root + 1, 3) | 1  # first odd number past the base primes
+    span = max(segment_size // 2, 1)  # odd numbers per segment
     while lo <= limit:
-        hi = min(lo + segment_size, limit + 1)
-        mask = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                mask[start - lo :: p] = False
-        if lo < 2:
-            mask[: 2 - lo] = False
-        chunks.append((np.flatnonzero(mask) + lo).astype(np.int64))
-        lo = hi
-    primes = np.concatenate(chunks)
-    return PrimeTable(limit=limit, primes=primes[primes <= limit])
+        n = min(span, (limit - lo) // 2 + 1)
+        mask = np.ones(n, dtype=bool)
+        # first odd multiple of p at or past max(p^2, lo), as an index
+        start = np.maximum(squares, (lo + odd_base - 1) // odd_base * odd_base)
+        start += odd_base * (start % 2 == 0)
+        for p, i in zip(odd_base.tolist(), ((start - lo) // 2).tolist()):
+            mask[i::p] = False
+        chunks.append(np.flatnonzero(mask) * 2 + lo)
+        lo += 2 * n
+    return PrimeTable(limit=limit, primes=np.concatenate(chunks))
 
 
 @lru_cache(maxsize=6)

@@ -136,10 +136,11 @@ def grid_scan(
         )
     omega, coeff = log_expansion(model, Y)
     # selection tolerance: grid value vs log standalone magnitude (expsum docstring)
-    local_logs = model.degree * len(primes_upto(int(Y)))
+    k = model.degree
+    factor_rounding = (72 + 1.4 * (k - 1)) * k * float(np.sum(1.0 / primes_upto(int(Y))))
     eps = (error_bound(coeff, omega, t_abs, min(_CHUNK, n_points))
-           + model.degree * EXPANSION_DROP_MAX
-           + 2.0**-53 * (4 * local_logs + 24 * np.abs(coeff).sum() + 8))
+           + k * EXPANSION_DROP_MAX
+           + 2.0**-53 * (factor_rounding + 24 * np.abs(coeff).sum() + 8))
 
     def chunk_survivors(ci: int) -> tuple[np.ndarray, np.ndarray]:
         lo = ci * _CHUNK

@@ -65,15 +65,14 @@ def exp_of_log(log_value: float, what: str) -> float:
 
 def blocked_complex_log_sum(
     primes: np.ndarray,
-    term_fn: Callable[[np.ndarray], np.ndarray],
+    term_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     block: int = BLOCK_PRIMES,
 ) -> complex:
-    """Complex analogue of blocked_log_sum (real and imaginary parts are
-    compensated independently)."""
+    """Complex analogue of blocked_log_sum: term_fn returns the real and
+    imaginary parts of the per-prime terms as two arrays, and each part is
+    reduced and compensated independently."""
     sums = [
-        complex(np.sum(term_fn(primes[lo : lo + block])))
+        tuple(float(np.sum(part)) for part in term_fn(primes[lo : lo + block]))
         for lo in range(0, len(primes), block)
     ]
-    return complex(
-        neumaier_sum(s.real for s in sums), neumaier_sum(s.imag for s in sums)
-    )
+    return complex(neumaier_sum(s[0] for s in sums), neumaier_sum(s[1] for s in sums))

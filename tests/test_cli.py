@@ -65,10 +65,11 @@ class TestExitCodes:
     (["calibrate", "--Y", "1e9", "--samples", "1"], 3, None),
     (["evaluate", "--t", "1e300"], 3, None),
     (["calibrate", "--t-min", "1e299", "--t-max", "1e300"], 3, None),
+    (["mertens", "--x", "1e10"], 3, None),
 ], ids=["x-nan", "x-inf", "x-grid-abc", "n-cutoff-1e400", "t-nan", "out-missing-dir",
         "mertens-overflow", "resonance-overflow", "oracle-overflow", "scan-overflow",
         "evaluate-sieve-budget", "calibrate-sieve-budget", "evaluate-phase-budget",
-        "calibrate-phase-budget"])
+        "calibrate-phase-budget", "mertens-sieve-budget"])
 def test_bad_input_is_one_error_line(argv, want, reason, capsys, tmp_path):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
     code, _, err = run_capture(argv, capsys)

@@ -6,6 +6,7 @@ import pytest
 from olx.errors import DomainError, RangeError, ResourceError, UnsupportedModelError
 from olx.evaluate import (
     T_MAX,
+    _log_terms_on_line,
     calibrate_truncation,
     dirichlet_direct,
     direct_value,
@@ -15,9 +16,9 @@ from olx.evaluate import (
     zeta_em,
     zeta_eta,
 )
-from olx.lfamily import make_rankin_selberg_delta
+from olx.lfamily import make_rankin_selberg_delta, parse_model
 from olx.mertens import truncated_product_at_1
-from olx.primes import character_table
+from olx.primes import character_table, primes_upto
 from olx.resonator import (
     moment_quadrature,
     moment_series,
@@ -200,6 +201,88 @@ def test_phase_budget_at_every_t_entry_point(call, zeta):
     with pytest.raises(ResourceError, match="phase precision budget"):
         call(zeta, 2 * T_MAX)
     assert abs(euler_product_on_line(zeta, -T_MAX, 100.0)) > 0
+
+
+def complex_log_terms(model, primes, t):
+    """Oracle for the real-arithmetic kernel: the per-prime log of the local
+    factors from numpy's complex log, -log(1 - a w) per real root and
+    -log(1 - 2c w + w^2) per conjugate pair, w = p^-(1 + it)."""
+    real, pair_re = model.root_blocks(primes)
+    w = np.exp(-(1.0 + 1j * t) * np.log(primes.astype(np.float64)))
+    terms = np.zeros(len(primes), dtype=np.complex128)
+    for j in range(real.shape[1]):
+        terms -= np.log(1.0 - real[:, j] * w)
+    for j in range(pair_re.shape[1]):
+        terms -= np.log(1.0 - 2.0 * pair_re[:, j] * w + w * w)
+    return terms
+
+
+def mpmath_product(model, t, Y, mpmath):
+    """F(1 + it; Y) at 40 digits from the same float phases t log p as the
+    package (their rounding is common to every formula and budgeted
+    separately), so it measures the kernel's own rounding."""
+    primes = primes_upto(int(Y))
+    real, pair_re = model.root_blocks(primes)
+    phases = t * np.log(primes.astype(np.float64))
+    with mpmath.workdps(40):
+        log_f = mpmath.mpc(0)
+        for p, phi, roots, pairs in zip(primes.tolist(), phases.tolist(), real, pair_re):
+            w = mpmath.expj(-mpmath.mpf(phi)) / p
+            for a in roots:
+                log_f -= mpmath.log(1 - mpmath.mpf(float(a)) * w)
+            for c in pairs:
+                log_f -= mpmath.log(1 - 2 * mpmath.mpf(float(c)) * w + w * w)
+        return complex(mpmath.exp(log_f)), float(mpmath.re(log_f))
+
+
+KERNEL_MODELS = [("zeta", 1e5), ("zeta^3", 1e5), ("dedekind:-4", 1e5), ("dedekind:5", 1e5),
+                 ("rs-delta:2000", 2000.0)]
+KERNEL_TS = [0.0, 14.13, -14.13, 1e3, 5e5, -T_MAX]
+
+
+class TestRealKernel:
+    @pytest.mark.parametrize("selector, Y", KERNEL_MODELS)
+    def test_terms_match_complex_log_oracle(self, selector, Y):
+        model = parse_model(selector)
+        primes = primes_upto(int(Y))
+        for t in KERNEL_TS:
+            re, im = _log_terms_on_line(model, primes, t)
+            # the oracle rounds each complex log near 1 to about u absolute
+            np.testing.assert_allclose(re + 1j * im, complex_log_terms(model, primes, t),
+                                       rtol=1e-13, atol=model.degree * 2.0**-51)
+
+    @pytest.mark.parametrize("selector, Y", KERNEL_MODELS)
+    def test_products_match_complex_log_oracle(self, selector, Y):
+        model = parse_model(selector)
+        primes = primes_upto(int(Y))
+        for t in KERNEL_TS:
+            oracle = np.exp(np.sum(complex_log_terms(model, primes, t)))
+            assert abs(euler_product_on_line(model, t, Y) / oracle - 1) <= 1e-13, t
+
+    @pytest.mark.parametrize("selector, Y", KERNEL_MODELS)
+    def test_conjugate_symmetry_is_exact(self, selector, Y):
+        model = parse_model(selector)
+        for t in KERNEL_TS[1:]:
+            a = euler_product_on_line(model, -t, Y)
+            b = euler_product_on_line(model, t, Y)
+            assert a.real == b.real and a.imag == -b.imag, t
+
+    @pytest.mark.parametrize("selector, Y", [("zeta", 1e4), ("zeta^3", 1e4),
+                                             ("dedekind:-4", 1e4), ("rs-delta:2000", 2000.0)])
+    def test_no_less_accurate_than_complex_log(self, selector, Y):
+        mpmath = pytest.importorskip("mpmath")
+        model = parse_model(selector)
+        primes = primes_upto(int(Y))
+        k = model.degree
+        # the standalone product's rounding of log |F| stated in the expsum docstring
+        mass = np.abs(log_expansion(model, Y)[1]).sum()
+        bound = 2.0**-53 * ((72 + 1.4 * (k - 1)) * k * np.sum(1.0 / primes) + 24 * mass + 8)
+        for t in (0.0, 14.13, 123.456, 5e5, -T_MAX):
+            ref, log_abs_ref = mpmath_product(model, t, Y, mpmath)
+            ours = euler_product_on_line(model, t, Y)
+            oracle = np.exp(np.sum(complex_log_terms(model, primes, t)))
+            assert abs(ours / ref - 1) <= abs(oracle / ref - 1) + 1e-15, t
+            assert abs(math.log(abs(ours)) - log_abs_ref) <= bound, t
 
 
 class TestLogExpansion:

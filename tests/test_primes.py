@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from olx.errors import DomainError
-from olx.primes import character_table, kronecker, sieve_primes
+from olx.errors import DomainError, ResourceError
+from olx.primes import (
+    SEGMENT_SIZE,
+    SIEVE_LIMIT_MAX,
+    _simple_sieve,
+    character_table,
+    kronecker,
+    sieve_primes,
+)
 
 
 def trial_division_primes(limit):
@@ -69,6 +76,29 @@ class TestSieve:
         t = sieve_primes(100)
         with pytest.raises(ValueError):
             t.primes[0] = 4
+
+    def test_limit_above_budget_is_a_resource_error(self):
+        with pytest.raises(ResourceError, match="sieve budget"):
+            sieve_primes(SIEVE_LIMIT_MAX + 1)
+
+    @pytest.mark.parametrize("segment_size", [2, 64, SEGMENT_SIZE])
+    def test_every_small_limit(self, segment_size):
+        for limit in range(2, 401):
+            np.testing.assert_array_equal(
+                sieve_primes(limit, segment_size).primes, _simple_sieve(limit))
+
+    @pytest.mark.parametrize("segment_size", [64, 1000])
+    def test_limits_around_segment_edges(self, segment_size):
+        # segments of segment_size integers start at the first odd number
+        # past sqrt(limit); take every limit within 3 of an edge
+        checked = 0
+        for limit in range(2, 40 * segment_size):
+            first = max(math.isqrt(limit) + 1, 3) | 1
+            if (limit - first + 3) % segment_size <= 6:
+                np.testing.assert_array_equal(
+                    sieve_primes(limit, segment_size).primes, _simple_sieve(limit))
+                checked += 1
+        assert checked > 200
 
 
 class TestKronecker:
