@@ -29,7 +29,11 @@ from .resonator import asymptotic_bound
 
 POINTS_MAX = 1 << 28
 CANDIDATES_PER_RECORD = 64  # standalone products a scan may spend per record
-_CHUNK = 1 << 21
+# Points per exp_sum_on_grid call, whose real transform has 2 * _CHUNK cells.
+# One irfft measured 23, 26, 29 and 37 ns per cell at 2^19, 2^20, 2^21 and
+# 2^22 cells on a 2-core Xeon (numpy 2.4); a whole 2-thread zeta scan of 2e7
+# points took 1.0-1.1 s at 2^19 points, 0.9-1.2 s at 2^20, 1.2-2.0 s at 2^21.
+_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -128,12 +132,13 @@ def grid_scan(
         raise DomainError("t_min must not exceed t_max")
     if step <= 0 or step > t_max - t_min:
         raise DomainError("step must satisfy 0 < step <= t_max - t_min")
-    n_points = int(math.floor((t_max - t_min) / step + 1.0 + 1e-9))
-    if n_points > POINTS_MAX:
+    count = (t_max - t_min) / step + 1.0 + 1e-9  # a float; inf for a subnormal step
+    if count >= POINTS_MAX + 1:
         raise ResourceError(
-            f"grid of {n_points} points exceeds the budget {POINTS_MAX}; "
+            f"grid of {count:.3g} points exceeds the budget {POINTS_MAX}; "
             "raise step or shrink the window"
         )
+    n_points = int(count)
     omega, coeff = log_expansion(model, Y)
     # selection tolerance: grid value vs log standalone magnitude (expsum docstring)
     k = model.degree

@@ -66,10 +66,15 @@ class TestExitCodes:
     (["evaluate", "--t", "1e300"], 3, None),
     (["calibrate", "--t-min", "1e299", "--t-max", "1e300"], 3, None),
     (["mertens", "--x", "1e10"], 3, None),
+    (["scan", "--model", "zeta", "--t-min", "10", "--t-max", "20", "--step", "1e-300",
+      "--Y", "1e3"], 3, None),
+    (["scan", "--model", "zeta", "--t-min", "0", "--t-max", "1e8", "--step", "5e-324",
+      "--Y", "1e3"], 3, None),
 ], ids=["x-nan", "x-inf", "x-grid-abc", "n-cutoff-1e400", "t-nan", "out-missing-dir",
         "mertens-overflow", "resonance-overflow", "oracle-overflow", "scan-overflow",
         "evaluate-sieve-budget", "calibrate-sieve-budget", "evaluate-phase-budget",
-        "calibrate-phase-budget", "mertens-sieve-budget"])
+        "calibrate-phase-budget", "mertens-sieve-budget", "scan-grid-budget",
+        "scan-grid-budget-inf"])
 def test_bad_input_is_one_error_line(argv, want, reason, capsys, tmp_path):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
     code, _, err = run_capture(argv, capsys)
@@ -77,6 +82,16 @@ def test_bad_input_is_one_error_line(argv, want, reason, capsys, tmp_path):
     assert re.fullmatch(r"error: \w+: [^\n]+\n", err)
     if reason is not None:
         assert err.startswith(f"error: numeric: {reason} (log ")
+
+
+@pytest.mark.parametrize("step, count", [("1e-300", "9.9e+302"), ("5e-324", "inf")])
+def test_grid_budget_reason_is_short(step, count, capsys):
+    # the point count is printed to 3 digits, not as a 300-digit integer
+    code, _, err = run_capture(["scan", "--model", "zeta", "--t-min", "10", "--t-max", "1e3",
+                                "--step", step, "--Y", "1e3"], capsys)
+    assert code == 3
+    assert err == (f"error: resource: grid of {count} points exceeds the budget 268435456; "
+                   "raise step or shrink the window\n")
 
 
 def readme_columns():

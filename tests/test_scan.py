@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import olx.scan as scan_mod
 from olx.errors import DomainError, ResourceError
@@ -60,6 +62,31 @@ class TestExpSum:
                 fast = exp_sum_on_grid(coeff, omega, t0, step, n)
                 direct = _direct_log_re(coeff, omega, t0, step, n)
                 assert np.abs(fast - direct).max() <= error_bound(coeff, omega, t_abs, n)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        theta=st.lists(st.one_of(
+            st.floats(0.0, 1e-6),  # taps at and around cell 0
+            st.floats(math.pi - 1e-6, math.pi + 1e-6),  # around cell nf/2
+            st.floats(2 * math.pi - 1e-6, 2 * math.pi + 1e-6),  # across the wrap
+            st.floats(0.0, 400.0),
+        ), min_size=1, max_size=24),
+        n=st.one_of(st.just(1), st.integers(1, 12).map(lambda e: 1 << e),
+                    st.integers(1, 2047).map(lambda m: 2 * m + 1)),
+        t0=st.one_of(st.floats(-1e3, 1e3), st.floats(-T_MAX, T_MAX)),
+        step=st.floats(0.01, 1.0),
+        data=st.data(),
+    )
+    def test_property_within_stated_bound(self, theta, n, t0, step, data):
+        # theta = step * omega per term; the direct sum is the oracle
+        omega = np.array(theta) / step
+        coeff = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(theta),
+                                            max_size=len(theta))))
+        t_abs = max(abs(t0), abs(t0 + (n - 1) * step))
+        fast = exp_sum_on_grid(coeff, omega, t0, step, n)
+        direct = _direct_log_re(coeff, omega, t0, step, n)
+        assert fast.shape == (n,)
+        assert np.abs(fast - direct).max() <= error_bound(coeff, omega, t_abs, n)
 
     def test_band_edge_accuracy(self):
         # a unit coefficient at 1.97, the edge of the phase band the grid once admitted
@@ -138,6 +165,38 @@ class TestGridScan:
         for k in range(1, 13):
             recs = grid_scan(model, *window, k)
             assert [(-r.magnitude, r.t) for r in recs] == oracle[:k]
+
+    @pytest.mark.parametrize("model, window", [
+        ("zeta", (100.0, 110.0, 0.05, 1e3)),
+        ("gauss", (-6.0, 6.0, 0.25, 300.0)),
+    ], ids=["asymmetric", "symmetric"])
+    def test_chunk_boundaries_keep_the_records(self, model, window, request, monkeypatch):
+        # chunks of 64 points, and of 8, which leave a last chunk of one
+        # point (201 = 25 * 8 + 1, 49 = 6 * 8 + 1): the records equal the
+        # unchunked run and the standalone product at every grid point
+        model = request.getfixturevalue(model)
+        t_min, t_max, step, Y = window
+        n = int(math.floor((t_max - t_min) / step + 1.0 + 1e-9))
+        grid = [t_min + i * step for i in range(n)]
+        oracle = sorted((-abs(euler_product_on_line(model, t, Y)), t) for t in grid)
+        ks = (1, 2, 5, 12)
+        whole = {k: grid_scan(model, *window, k) for k in ks}
+        for k in ks:
+            assert [(-r.magnitude, r.t) for r in whole[k]] == oracle[:k]
+        sizes = []
+
+        def recording(coeffs, omegas, t0, step, n):
+            sizes.append(n)
+            return exp_sum_on_grid(coeffs, omegas, t0, step, n)
+
+        monkeypatch.setattr(scan_mod, "exp_sum_on_grid", recording)
+        for chunk in (64, 8):
+            monkeypatch.setattr(scan_mod, "_CHUNK", chunk)
+            for threads in ("1", "2"):
+                monkeypatch.setenv("OLX_THREADS", threads)
+                for k in ks:
+                    assert grid_scan(model, *window, k) == whole[k]
+        assert 1 in sizes
 
     def test_deterministic(self, gauss):
         a = grid_scan(gauss, 50.0, 60.0, 0.01, 1000.0, 5)
