@@ -21,29 +21,27 @@ from .errors import (
 from .lfamily import (
     EULER_GAMMA,
     LFunctionModel,
-    LocalRoots,
     TauTable,
     dirichlet_L1,
+    dirichlet_direct,
     is_fundamental_discriminant,
-    local_roots,
     make_dedekind_quadratic,
     make_rankin_selberg_delta,
     make_zeta_power,
     parse_model,
+    power_sum,
     sym2_residue,
     tau_table,
 )
 from .evaluate import (
     CalibrationStats,
     calibrate_truncation,
-    dirichlet_direct,
     euler_product_on_line,
     zeta_em,
     zeta_eta,
 )
 from .mertens import (
     MertensReport,
-    lambda_coeff,
     mertens_prediction,
     mertens_report,
     truncated_product_at_1,
@@ -72,7 +70,6 @@ __all__ = [
     "DomainError",
     "EULER_GAMMA",
     "LFunctionModel",
-    "LocalRoots",
     "MertensReport",
     "MomentQuadrature",
     "MomentSeries",
@@ -98,8 +95,6 @@ __all__ = [
     "grid_scan",
     "is_fundamental_discriminant",
     "kronecker",
-    "lambda_coeff",
-    "local_roots",
     "make_dedekind_quadratic",
     "make_rankin_selberg_delta",
     "make_zeta_power",
@@ -108,6 +103,7 @@ __all__ = [
     "moment_quadrature",
     "moment_series",
     "parse_model",
+    "power_sum",
     "q_of_int",
     "q_of_prime",
     "refine_peak",

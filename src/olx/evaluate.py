@@ -4,11 +4,11 @@ independent direct oracles they are calibrated against.
 The truncated product is the package's working approximation of F(1+it);
 zeta_em (Euler-Maclaurin) and zeta_eta (accelerated alternating series)
 are two independent direct evaluations of the zeta factor, and
-dirichlet_direct supplies the character factor of the quadratic-field
-models. calibrate_truncation measures how well the truncated product
-tracks the direct value over seeded samples; it reports deviations and
-never extrapolates (the truncated product does not converge absolutely
-on the 1-line as Y grows).
+lfamily.dirichlet_direct supplies the character factor of the
+quadratic-field models. calibrate_truncation measures how well the
+truncated product tracks the direct value over seeded samples; it
+reports deviations and never extrapolates (the truncated product does not
+converge absolutely on the 1-line as Y grows).
 """
 from __future__ import annotations
 
@@ -18,36 +18,26 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charsum import periodic_lseries
+from .charsum import EM_BERNOULLI
 from .errors import DomainError, NumericError, ResourceError, UnsupportedModelError
-from .lfamily import LFunctionModel, is_fundamental_discriminant
-from .primes import character_table, primes_upto
+from .lfamily import LFunctionModel, dirichlet_direct, power_sum
+from .primes import primes_upto
 from .summation import LOG_FLOAT_MAX, blocked_complex_log_sum
 
 T_MAX = 100_000_000.0  # beyond it the phases t log p keep too few correct digits
 EXPANSION_DROP_MAX = 1e-13  # per unit of degree; see log_expansion
-
-_EM_BERNOULLI = (
-    1.0 / 6,
-    -1.0 / 30,
-    1.0 / 42,
-    -1.0 / 30,
-    5.0 / 66,
-    -691.0 / 2730,
-    7.0 / 6,
-    -3617.0 / 510,
-)
+_EXPANSION_TINY = 1e-18  # log_expansion's coefficient floor; EXPANSION_DROP_MAX holds at it
 
 
 def zeta_em(s: complex) -> complex:
     """Riemann zeta by Euler-Maclaurin: head sum to N = max(50, 2|Im s|),
     integral and half terms, then 8 Bernoulli corrections. Target 1e-10
-    absolute for Re(s) >= 1/2, |Im s| <= 1e8."""
+    absolute for Re(s) >= 1/2, |Im s| <= T_MAX."""
     s = complex(s)
     if s == 1:
         raise DomainError("zeta has a pole at s = 1")
-    if abs(s.imag) > 1e8:
-        raise DomainError("Euler-Maclaurin path restricted to |Im s| <= 1e8")
+    if abs(s.imag) > T_MAX:
+        raise DomainError(f"Euler-Maclaurin path restricted to |Im s| <= {T_MAX:g}")
     N = max(50, math.ceil(2 * abs(s.imag)))
     total = 0.0 + 0.0j
     for lo in range(1, N + 1, 1 << 20):  # chunked: N can reach 2e8
@@ -58,7 +48,7 @@ def zeta_em(s: complex) -> complex:
     # correction terms B_{2j}/(2j)! * s(s+1)...(s+2j-2) * N^(-s-2j+1)
     rising = s
     fact = 1.0
-    for j, b in enumerate(_EM_BERNOULLI, start=1):
+    for j, b in enumerate(EM_BERNOULLI, start=1):
         fact *= (2 * j - 1) * (2 * j)
         total += (b / fact) * rising * nf ** (-s - (2 * j - 1))
         rising *= (s + 2 * j - 1) * (s + 2 * j)
@@ -111,18 +101,6 @@ def zeta_eta(s: complex) -> complex:
     terms = signs * np.asarray(weights) * np.exp(-s * np.log(k + 1))
     eta = complex(np.sum(terms))
     return eta / denom
-
-
-def dirichlet_direct(d: int, t: float) -> complex:
-    """L(1 + it, chi_d) by the Abel-summed character series, to 1e-9."""
-    if not is_fundamental_discriminant(d):
-        raise DomainError(f"{d} is not a fundamental discriminant != 1")
-    if abs(d) > 1_000_000:
-        raise DomainError(f"|d| <= 1e6 required, got {d}")
-    value, bound = periodic_lseries(character_table(d), complex(1.0, float(t)))
-    if bound > 1e-9:
-        raise NumericError(f"character series tail bound {bound:.2e} exceeds 1e-9")
-    return complex(value)
 
 
 def _log_terms_on_line(
@@ -195,45 +173,33 @@ def euler_product_on_line(model: LFunctionModel, t: float, Y: float) -> complex:
     return complex(np.exp(log_f.real) * complex(math.cos(log_f.imag), math.sin(log_f.imag)))
 
 
-def log_expansion(
-    model: LFunctionModel, Y: float, tiny: float = 1e-18
-) -> tuple[np.ndarray, np.ndarray]:
+def log_expansion(model: LFunctionModel, Y: float) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies and coefficients of log F(1 + it; Y) as a finite
     exponential sum: log F = sum c * exp(-i t w), w = r log p, c the
     p^r coefficient of log F divided by p^r.
 
-    Terms with |c| < tiny are dropped; at the default tiny their total is
-    below EXPANSION_DROP_MAX per unit of degree for every supported Y
-    (2.6e-14 for zeta at Y = 1e8, 1.2e-13 for zeta^1000 at Y = 1e7).
+    Terms with |c| < _EXPANSION_TINY are dropped; their total is below
+    EXPANSION_DROP_MAX per unit of degree for every supported Y (2.6e-14
+    for zeta at Y = 1e8, 1.2e-13 for zeta^1000 at Y = 1e7).
     Coefficients are real for the shipped models.
     """
     if Y < 2:
         return np.empty(0), np.empty(0)
     model.check_cutoff(Y)
     primes = primes_upto(int(Y))
-    real, pair_re = model.root_blocks(primes)
     pf = primes.astype(np.float64)
     logp = np.log(pf)
-    theta = np.arccos(np.clip(pair_re, -1.0, 1.0)) if pair_re.shape[1] else None
     k = model.degree
     omegas = []
     coeffs = []
     r = 1
     while True:
         # keep primes where the generic bound (k/r) p^(-r) clears the floor
-        p_cap = (k / (r * tiny)) ** (1.0 / r)
-        mask = pf <= p_cap
+        mask = pf <= (k / (r * _EXPANSION_TINY)) ** (1.0 / r)
         if not mask.any():
             break
-        psel = pf[mask]
-        power_sum = np.zeros(mask.sum())
-        for j in range(real.shape[1]):
-            power_sum += real[mask, j] ** r
-        if theta is not None:
-            for j in range(pair_re.shape[1]):
-                power_sum += 2.0 * np.cos(r * theta[mask, j])
-        c = power_sum / (r * psel**r)
-        keep = np.abs(c) >= tiny
+        c = power_sum(model, primes[mask], r) / (r * pf[mask] ** r)
+        keep = np.abs(c) >= _EXPANSION_TINY
         omegas.append(r * logp[mask][keep])
         coeffs.append(c[keep])
         r += 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DomainError
-from .lfamily import EULER_GAMMA, LFunctionModel, local_roots, log_local_factor
+from .lfamily import EULER_GAMMA, LFunctionModel, log_local_factor
 from .primes import sieve_primes
 from .summation import blocked_log_sum, exp_of_log
 
@@ -27,18 +27,6 @@ class MertensReport:
     product: tuple[float, ...] = field(repr=False)
     prediction: tuple[float, ...] = field(repr=False)
     ratio: tuple[float, ...] = field(repr=False)
-
-
-def lambda_coeff(model: LFunctionModel, p: int, r: int) -> complex:
-    """(1/r) * sum_j alpha_j(p)^r, the p^r coefficient of log F.
-
-    Bounded by degree/r in modulus; real to rounding for the shipped
-    self-dual models.
-    """
-    if r < 1:
-        raise DomainError(f"prime-power exponent must be >= 1, got {r}")
-    roots = local_roots(model, p).roots
-    return sum(z**r for z in roots) / r
 
 
 def truncated_product_at_1(model: LFunctionModel, x: float) -> float:

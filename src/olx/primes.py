@@ -127,8 +127,10 @@ def kronecker(d: int, n: int) -> int:
     return result if b == 1 else 0
 
 
+@lru_cache(maxsize=4)
 def character_table(d: int) -> np.ndarray:
-    """chi_d over one period: int8 array c of length |d| with c[n mod |d|] = chi_d(n).
+    """chi_d over one period: int8 array c of length |d| with c[n mod |d|] = chi_d(n),
+    read-only and cached, so a model and its direct values share one table.
 
     Requires |d| >= 2 (every fundamental discriminant d != 1 qualifies);
     residue 0 maps to 0 since any n = 0 mod |d| shares a factor with d.

@@ -29,6 +29,9 @@ from .summation import blocked_log_sum, exp_of_log
 _E_TO_E = math.exp(math.e)
 
 X_SERIES_MAX = 50.0
+_ENUM_MAX_ITEMS = 12_000_000  # per half of the moment-series enumeration
+QUAD_NODES_MAX = 1 << 25  # Simpson nodes over moment_quadrature's three levels
+_GAUSS_CUT = 6.1  # quadrature range |t| <= 6.1/eps; the Gaussian is below 1e-16 beyond
 
 
 @dataclass(frozen=True)
@@ -77,16 +80,22 @@ class MomentQuadrature:
     i1_imag_rel: float
 
 
-def resonator_config(T: float) -> ResonatorConfig:
-    """X = (log T)(log_2 T)/6 and eps = (log T)/T; needs T > e^e so the
-    iterated logarithms in the growth bound are defined."""
-    T = float(T)
+def _iterated_logs(T: float) -> tuple[float, float]:
+    """(log T, log_2 T); needs T > e^e so that log_3 T = log(log_2 T) > 0
+    is defined too."""
     if not T > _E_TO_E:
         raise DomainError(
             f"T must exceed e^e = {_E_TO_E:.6f} (iterated logarithms), got {T}"
         )
     log_t = math.log(T)
-    return ResonatorConfig(T=T, X=log_t * math.log(log_t) / 6.0, eps=log_t / T)
+    return log_t, math.log(log_t)
+
+
+def resonator_config(T: float) -> ResonatorConfig:
+    """X = (log T)(log_2 T)/6 and eps = (log T)/T."""
+    T = float(T)
+    log_t, log2_t = _iterated_logs(T)
+    return ResonatorConfig(T=T, X=log_t * log2_t / 6.0, eps=log_t / T)
 
 
 def q_of_prime(p: int, X: float) -> float:
@@ -171,12 +180,7 @@ def resonance_products_at_cutoff(
 def asymptotic_bound(model: LFunctionModel, T: float) -> float:
     """e^(gamma_f) * (log_2 T + log_3 T)^m, the growth prediction at scale T
     modulo a bounded additive constant that is never asserted."""
-    T = float(T)
-    if not T > _E_TO_E:
-        raise DomainError(
-            f"T must exceed e^e = {_E_TO_E:.6f} (iterated logarithms), got {T}"
-        )
-    ll = math.log(math.log(T))
+    _, ll = _iterated_logs(float(T))
     lll = math.log(ll)
     return math.exp(model.gamma_f) * (ll + lll) ** model.pole_order
 
@@ -272,7 +276,7 @@ def _tables_for_prime(
 
 
 def _enumerate_half(
-    logs: list[float], tables: list[np.ndarray], delta: float, max_items: int
+    logs: list[float], tables: list[np.ndarray], delta: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """All offset vectors over the half with normalized weight >= delta.
 
@@ -297,9 +301,9 @@ def _enumerate_half(
         keep = new_w >= delta
         xs = new_x[keep]
         ws = new_w[keep]
-        if len(xs) > max_items:
+        if len(xs) > _ENUM_MAX_ITEMS:
             raise ResourceError(
-                f"moment-series enumeration exceeded {max_items} items; "
+                f"moment-series enumeration exceeded {_ENUM_MAX_ITEMS} items; "
                 "lower n_cutoff or X"
             )
     return xs, ws, scale
@@ -405,7 +409,6 @@ def _series_sum(
     eps: float,
     delta: float,
     which: str,
-    max_items: int = 12_000_000,
 ) -> tuple[float, float, float]:
     """(S, extras, enumerated_mass): S = sum over offset vectors f of
     prod_i w_i(f_i) * exp(-(sum f_i log p_i)^2 / (4 eps^2)); extras
@@ -433,10 +436,10 @@ def _series_sum(
             half_b.append((logp, table))
             size_b += math.log(len(table))
     xA, wA, scale_a = _enumerate_half(
-        [t[0] for t in half_a], [t[1] for t in half_a], delta, max_items
+        [t[0] for t in half_a], [t[1] for t in half_a], delta
     )
     xB, wB, scale_b = _enumerate_half(
-        [t[0] for t in half_b], [t[1] for t in half_b], delta, max_items
+        [t[0] for t in half_b], [t[1] for t in half_b], delta
     )
     g_tol = 1e-18
     band = 2.0 * eps * math.sqrt(math.log(1.0 / g_tol))
@@ -542,7 +545,7 @@ def _integrand_sums(
 
 
 def _simpson(model: LFunctionModel, X: float, eps: float, h: float) -> tuple[float, float, float]:
-    t_max = 6.1 / eps
+    t_max = _GAUSS_CUT / eps
     n = max(8, int(math.ceil(2.0 * t_max / h / 2.0)) * 2)
     step = 2.0 * t_max / n
     i1_re = i1_im = i2 = 0.0
@@ -569,12 +572,22 @@ def moment_quadrature(
     |t| <= 6.1/eps (the Gaussian is below 1e-16 beyond), at spacings
     step, step/2, step/4. error_estimate is the last halving difference;
     if halving stops reducing the difference, the rule is not resolving
-    the integrand and the failure is raised, not smoothed over."""
+    the integrand and the failure is raised, not smoothed over.
+
+    The three levels take 14 (6.1/eps)/step nodes to within 9 (1.25e6 at
+    the defaults T = 5000, step 0.04). Above QUAD_NODES_MAX = 2^25, about
+    30 s at the 0.8-1.0 us per node measured at X = 18 on a 2-core Xeon VM,
+    ResourceError is raised before any integrand work."""
     if step <= 0:
         raise DomainError("quadrature step must be positive")
     model.check_cutoff(X)
-    cfg = resonator_config(T)
-    eps = cfg.eps
+    eps = resonator_config(T).eps
+    nodes = 14.0 * (_GAUSS_CUT / eps) / step  # a float: no step overflows the count
+    if not nodes <= QUAD_NODES_MAX:
+        raise ResourceError(
+            f"quadrature needs {nodes:.3g} nodes over its three levels, beyond "
+            f"the budget {QUAD_NODES_MAX}; raise step or lower T"
+        )
     vals = [_simpson(model, X, eps, step / f) for f in (1.0, 2.0, 4.0)]
     e1 = max(abs(vals[1][0] - vals[0][0]), abs(vals[1][2] - vals[0][2]))
     e2 = max(abs(vals[2][0] - vals[1][0]), abs(vals[2][2] - vals[1][2]))

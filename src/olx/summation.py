@@ -40,7 +40,6 @@ def neumaier_sum(values: Iterator[float]) -> float:
 def blocked_log_sum(
     primes: np.ndarray,
     term_fn: Callable[[np.ndarray], np.ndarray],
-    block: int = BLOCK_PRIMES,
 ) -> float:
     """Sum term_fn over ascending prime blocks with ordered compensation.
 
@@ -49,8 +48,8 @@ def blocked_log_sum(
     """
 
     def block_sums() -> Iterator[float]:
-        for lo in range(0, len(primes), block):
-            yield float(np.sum(term_fn(primes[lo : lo + block])))
+        for lo in range(0, len(primes), BLOCK_PRIMES):
+            yield float(np.sum(term_fn(primes[lo : lo + BLOCK_PRIMES])))
 
     return neumaier_sum(block_sums())
 
@@ -66,13 +65,12 @@ def exp_of_log(log_value: float, what: str) -> float:
 def blocked_complex_log_sum(
     primes: np.ndarray,
     term_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    block: int = BLOCK_PRIMES,
 ) -> complex:
     """Complex analogue of blocked_log_sum: term_fn returns the real and
     imaginary parts of the per-prime terms as two arrays, and each part is
     reduced and compensated independently."""
     sums = [
-        tuple(float(np.sum(part)) for part in term_fn(primes[lo : lo + block]))
-        for lo in range(0, len(primes), block)
+        tuple(float(np.sum(part)) for part in term_fn(primes[lo : lo + BLOCK_PRIMES]))
+        for lo in range(0, len(primes), BLOCK_PRIMES)
     ]
     return complex(neumaier_sum(s[0] for s in sums), neumaier_sum(s[1] for s in sums))

@@ -70,11 +70,14 @@ class TestExitCodes:
       "--Y", "1e3"], 3, None),
     (["scan", "--model", "zeta", "--t-min", "0", "--t-max", "1e8", "--step", "5e-324",
       "--Y", "1e3"], 3, None),
+    (["moments", "--X", "3", "--T", "1e9", "--n-cutoff", "100"], 3, None),
+    (["moments", "--X", "3", "--step", "1e-7", "--n-cutoff", "100"], 3, None),
 ], ids=["x-nan", "x-inf", "x-grid-abc", "n-cutoff-1e400", "t-nan", "out-missing-dir",
         "mertens-overflow", "resonance-overflow", "oracle-overflow", "scan-overflow",
         "evaluate-sieve-budget", "calibrate-sieve-budget", "evaluate-phase-budget",
         "calibrate-phase-budget", "mertens-sieve-budget", "scan-grid-budget",
-        "scan-grid-budget-inf"])
+        "scan-grid-budget-inf", "moments-quadrature-budget-T",
+        "moments-quadrature-budget-step"])
 def test_bad_input_is_one_error_line(argv, want, reason, capsys, tmp_path):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
     code, _, err = run_capture(argv, capsys)

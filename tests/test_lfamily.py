@@ -4,23 +4,59 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from olx.errors import DomainError, NumericError, RangeError, ResourceError
+from olx.errors import DomainError, RangeError, ResourceError
 from olx.lfamily import (
     EULER_GAMMA,
     dirichlet_L1,
     is_fundamental_discriminant,
     local_coefficients,
-    local_roots,
     make_dedekind_quadratic,
     make_rankin_selberg_delta,
     make_zeta_power,
     parse_model,
+    power_sum,
     sym2_residue,
     tau_table,
 )
-from olx.primes import kronecker, sieve_primes
+from olx.primes import character_table, kronecker, sieve_primes
 
 SYM2_AT_1E4 = 0.63262221105274552  # regression pin from the first oracle run
+
+
+def roots_at(model, p):
+    """The full multiset of complex inverse roots at p, rebuilt from the
+    vectorized root_blocks: real roots, then each pair c +- i sqrt(1 - c^2)."""
+    real, pair_re = model.root_blocks(np.array([p]))
+    roots = [complex(a) for a in real[0]]
+    for c in pair_re[0]:
+        im = math.sqrt(max(0.0, 1.0 - c * c))
+        roots += [complex(c, im), complex(c, -im)]
+    return tuple(roots)
+
+
+def scalar_power_sum(model, p, r):
+    """The former scalar path, kept as power_sum's oracle: for rs-delta the
+    roots a^2, 1, 1, conj(a)^2 with a = lam/2 + i sqrt(1 - lam^2/4), and
+    sum_j alpha_j^r by complex powers."""
+    idx = int(np.searchsorted(model._rs_primes, p))
+    lam_sq = float(model._rs_lam_sq[idx])
+    lam = math.sqrt(lam_sq)
+    re = 0.5 * lam_sq - 1.0
+    im = lam * math.sqrt(max(0.0, 1.0 - 0.25 * lam_sq))
+    roots = (complex(re, im), complex(1.0), complex(1.0), complex(re, -im))
+    return sum(z**r for z in roots).real
+
+
+def class_number_L1(d):
+    """L(1, chi_d) in closed form (Davenport, Multiplicative Number Theory,
+    ch. 1 and 6): -pi |d|^(-3/2) sum_{a<|d|} chi(a) a for d < 0, and
+    -d^(-1/2) sum_{a<d} chi(a) log sin(pi a/d) for d > 0."""
+    chi = character_table(d).astype(np.float64)
+    q = abs(d)
+    a = np.arange(1, q, dtype=np.float64)
+    if d < 0:
+        return -math.pi * q**-1.5 * math.fsum(chi[1:] * a)
+    return -(q**-0.5) * math.fsum(chi[1:] * np.log(np.sin(np.pi * a / q)))
 
 
 def tau_oracle(N):
@@ -82,14 +118,14 @@ class TestTau:
 
 class TestZetaPower:
     def test_zeta_roots(self, zeta):
-        assert zeta.roots_at(7).roots == (1 + 0j,)
+        assert roots_at(zeta, 7) == (1 + 0j,)
 
     def test_gamma_f(self, zeta2):
         assert abs(zeta2.gamma_f - 2 * EULER_GAMMA) < 1e-15
         assert abs(zeta2.gamma_f - 1.1544313) < 1e-6
 
     def test_cube_roots(self, zeta3):
-        assert zeta3.roots_at(2).roots == (1 + 0j, 1 + 0j, 1 + 0j)
+        assert roots_at(zeta3, 2) == (1 + 0j, 1 + 0j, 1 + 0j)
 
     def test_pole_required(self):
         with pytest.raises(DomainError):
@@ -108,9 +144,9 @@ class TestFundamentalDiscriminants:
 
 class TestDedekind:
     def test_split_inert_ramified(self, gauss):
-        assert gauss.roots_at(5).roots == (1 + 0j, 1 + 0j)
-        assert gauss.roots_at(3).roots == (1 + 0j, -1 + 0j)
-        assert gauss.roots_at(2).roots == (1 + 0j, 0j)
+        assert roots_at(gauss, 5) == (1 + 0j, 1 + 0j)
+        assert roots_at(gauss, 3) == (1 + 0j, -1 + 0j)
+        assert roots_at(gauss, 2) == (1 + 0j, 0j)
 
     def test_non_fundamental_rejected(self):
         for d in (1, 9, -12, 100):
@@ -123,7 +159,7 @@ class TestDedekind:
             model = make_dedekind_quadratic(d)
             for p in sieve_primes(1000).primes:
                 p = int(p)
-                r1, r2 = model.roots_at(p).roots
+                r1, r2 = roots_at(model, p)
                 chi = kronecker(d, p)
                 assert abs((r1 + r2) - (1 + chi)) < 1e-14
                 assert abs(r1 * r2 - chi) < 1e-14
@@ -144,40 +180,58 @@ class TestDirichletL1:
         with pytest.raises(DomainError):
             dirichlet_L1(12**2)
 
+    def test_class_number_formula_sweep(self):
+        # every fundamental discriminant with |d| <= 1000
+        ds = [d for d in range(-1000, 1001) if is_fundamental_discriminant(d)]
+        assert len(ds) == 607
+        for d in ds:
+            assert abs(dirichlet_L1(d) - class_number_L1(d)) <= 1e-12, d
+
+    def test_largest_discriminant(self):
+        # h(-999995) = 480 and w = 2, so L(1, chi) = pi h / sqrt(|d|)
+        assert abs(dirichlet_L1(-999995) - math.pi * 480 / math.sqrt(999995)) <= 1e-9
+
 
 class TestRankinSelberg:
     def test_root_sum_is_lambda_squared(self, rs_small):
         table = tau_table(2000)
-        for p in sieve_primes(2000).primes:
+        primes = sieve_primes(2000).primes
+        real, pair_re = rs_small.root_blocks(primes)
+        assert real.shape[1] + 2 * pair_re.shape[1] == rs_small.degree
+        for p, p1 in zip(primes, power_sum(rs_small, primes, 1)):
             p = int(p)
-            roots = rs_small.roots_at(p).roots
-            assert len(roots) == rs_small.degree
             exact = Fraction(table.tau(p) ** 2, p**11)
-            assert abs(sum(roots).real - float(exact)) < 1e-10
-            assert abs(sum(roots).imag) < 1e-12
+            assert abs(p1 - float(exact)) < 1e-10
 
     def test_root_product_unitary(self, rs_small):
         for p in (2, 3, 11, 97):
             prod = 1 + 0j
-            for r in rs_small.roots_at(p).roots:
+            for r in roots_at(rs_small, p):
                 prod *= r
             assert abs(prod - 1) < 1e-12
 
     def test_closed_under_conjugation(self, rs_small):
         for p in (2, 5, 13):
-            roots = rs_small.roots_at(p).roots
+            roots = roots_at(rs_small, p)
             conj = tuple(sorted((z.conjugate() for z in roots), key=lambda z: (z.real, z.imag)))
             orig = tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
             assert all(abs(a - b) < 1e-14 for a, b in zip(conj, orig))
 
     def test_roots_on_unit_disc(self, rs_small):
-        for p in sieve_primes(2000).primes:
-            for r in rs_small.roots_at(int(p)).roots:
-                assert abs(r) <= 1 + 1e-12
+        real, pair_re = rs_small.root_blocks(sieve_primes(2000).primes)
+        assert np.all(np.abs(real) <= 1 + 1e-12)
+        assert np.all(np.abs(pair_re) <= 1 + 1e-12)  # the pair's real part c = cos theta
 
     def test_coefficient_cutoff(self, rs_small):
         with pytest.raises(RangeError):
-            rs_small.roots_at(2003)
+            rs_small.root_blocks(np.array([2003]))
+
+    def test_power_sums_match_complex_roots(self, rs_small):
+        primes = sieve_primes(2000).primes
+        for r in range(1, 41):
+            got = power_sum(rs_small, primes, r)
+            want = [scalar_power_sum(rs_small, int(p), r) for p in primes]
+            assert np.max(np.abs(got - want)) < 1e-12, r
 
     def test_budget(self):
         with pytest.raises(ResourceError):
@@ -233,12 +287,6 @@ class TestModelInvariants:
                 coeffs = local_coefficients(model, int(p), vmax)
                 assert np.all(coeffs >= -1e-10), (model.label, p)
 
-    def test_local_roots_reject_outside_disc(self):
-        from olx.lfamily import LocalRoots
-
-        with pytest.raises(NumericError):
-            LocalRoots(roots=(2.0 + 0j,))
-
     def test_dirichlet_coefficients_at_prime_powers(self, gauss):
         # a(p^v) counts points: split 1+v, inert v even, ramified 1
         for p, chi in ((5, 1), (3, -1), (2, 0)):
@@ -255,14 +303,10 @@ class TestModelInvariants:
 
 class TestLocalRootsOp:
     def test_zeta_large_prime(self, zeta):
-        assert local_roots(zeta, 10007).roots == (1 + 0j,)
+        assert roots_at(zeta, 10007) == (1 + 0j,)
 
     def test_dedekind_split(self, root5):
-        assert local_roots(root5, 11).roots == (1 + 0j, 1 + 0j)
-
-    def test_composite_rejected(self, zeta):
-        with pytest.raises(DomainError):
-            local_roots(zeta, 10)
+        assert roots_at(root5, 11) == (1 + 0j, 1 + 0j)
 
 
 class TestParseModel:
