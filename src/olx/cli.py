@@ -95,8 +95,9 @@ def _resonance(model: LFunctionModel, args: argparse.Namespace):
 
 
 def _moments(model: LFunctionModel, args: argparse.Namespace):
-    ser = moment_series(model, args.X, args.T, args.n_cutoff)
+    # quadrature first: its node budget refuses a run before the series is spent
     quad = moment_quadrature(model, args.X, args.T, args.step)
+    ser = moment_series(model, args.X, args.T, args.n_cutoff)
     res, _, _ = resonance_products_at_cutoff(model, args.X)
     params = {"T": args.T, "X": args.X, "n_cutoff": args.n_cutoff, "step": args.step}
     data = {

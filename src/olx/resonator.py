@@ -28,9 +28,9 @@ from .summation import blocked_log_sum, exp_of_log
 
 _E_TO_E = math.exp(math.e)
 
-X_SERIES_MAX = 50.0
+X_MOMENTS_MAX = 50.0  # weight cutoff of both moment-integral paths
 _ENUM_MAX_ITEMS = 12_000_000  # per half of the moment-series enumeration
-QUAD_NODES_MAX = 1 << 25  # Simpson nodes over moment_quadrature's three levels
+QUAD_NODES_MAX = 1 << 25  # integrand nodes of moment_quadrature's one sweep
 _GAUSS_CUT = 6.1  # quadrature range |t| <= 6.1/eps; the Gaussian is below 1e-16 beyond
 
 
@@ -244,25 +244,27 @@ def _local_b(
     return b
 
 
-def _tables_for_prime(
-    model: LFunctionModel, p: int, q: float, delta: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(w1, w2, fmax) weight tables over offsets f = -fmax..fmax.
+def _weight_table(
+    model: LFunctionModel, p: int, q: float, delta: float, which: str
+) -> np.ndarray:
+    """The one weight table a moment needs, over offsets f = -fmax..fmax.
 
-    w2(f) = q^|f| / (1 - q^2)            (pair side m vs n, common part summed)
-    w1(f) = sum_j b(p^(j+f+)) q^(j+f-)   (b-side vs q-side exponent difference)
+    I2: w2(f) = q^|f| / (1 - q^2)            (pair side m vs n, common part summed)
+    I1: w1(f) = sum_j b(p^(j+f+)) q^(j+f-)   (b-side vs q-side exponent difference)
     """
     if q <= 0.0:
         # only the coefficient side survives; offsets f >= 0
         fmax = max(1, math.ceil(math.log(1.0 / delta) / math.log(p)))
-        b = _local_b(model, p, 0.0, fmax)
-        w1 = np.zeros(2 * fmax + 1)
-        w1[fmax:] = b
-        w2 = np.zeros(2 * fmax + 1)
-        w2[fmax] = 1.0
-        return w1, w2, fmax
+        w = np.zeros(2 * fmax + 1)
+        if which == "I2":
+            w[fmax] = 1.0
+        else:
+            w[fmax:] = _local_b(model, p, 0.0, fmax)
+        return w
     rate = max(q, 1.0 / p)
     fmax = max(2, math.ceil(math.log(delta * 1e-3) / math.log(rate)))
+    if which == "I2":
+        return q ** np.abs(np.arange(-fmax, fmax + 1)) / (1.0 - q * q)
     jmax = fmax + max(8, math.ceil(math.log(1e-20) / math.log(max(q * q, 1e-12))))
     b = _local_b(model, p, q, fmax + jmax + 1)
     w1 = np.empty(2 * fmax + 1)
@@ -270,15 +272,14 @@ def _tables_for_prime(
     for idx, f in enumerate(range(-fmax, fmax + 1)):
         fp, fm = max(f, 0), max(-f, 0)
         w1[idx] = float(np.dot(b[fp : fp + jmax], qj * (q**fm)))
-    f = np.arange(-fmax, fmax + 1)
-    w2 = q ** np.abs(f) / (1.0 - q * q)
-    return w1, w2, fmax
+    return w1
 
 
 def _enumerate_half(
-    logs: list[float], tables: list[np.ndarray], delta: float
+    half: list[tuple[float, np.ndarray]], delta: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """All offset vectors over the half with normalized weight >= delta.
+    """All offset vectors over the half's (log p, table) pairs with
+    normalized weight >= delta.
 
     Returns (x, w_normalized, scale): true weight = w_normalized * scale.
     Primes are crossed in the given order; callers pass wide tables first
@@ -287,7 +288,7 @@ def _enumerate_half(
     xs = np.zeros(1)
     ws = np.ones(1)
     scale = 1.0
-    for logp, table in zip(logs, tables):
+    for logp, table in half:
         m = float(table.max())
         scale *= m
         tnorm = table / m
@@ -397,61 +398,55 @@ def _total_weight(
             return 1.0
         return (1.0 + q) / ((1.0 - q) * (1.0 - q * q))
     depth = 64
-    b = _local_b(model, p, max(q, 0.0), depth)
+    b = _local_b(model, p, q, depth)
     rate = max(q, 1.0 / p)
     b_total = float(np.sum(b)) + float(b[-1]) * rate / (1.0 - rate)
     return b_total / (1.0 - q) if q > 0.0 else b_total
 
 
 def _series_sum(
-    model: LFunctionModel,
-    X: float,
-    eps: float,
-    delta: float,
-    which: str,
-) -> tuple[float, float, float]:
-    """(S, extras, enumerated_mass): S = sum over offset vectors f of
-    prod_i w_i(f_i) * exp(-(sum f_i log p_i)^2 / (4 eps^2)); extras
-    collects the out-of-band Gaussian mass and the pair-floor allowance;
-    enumerated_mass = total weight captured by the enumeration, for
-    dropped-mass accounting against the closed-form total."""
-    primes = [int(p) for p in primes_upto(max(2, int(X))) if p <= X]
+    model: LFunctionModel, X: float, eps: float, delta: float, which: str
+) -> tuple[float, float]:
+    """(S, allowance) for one moment, from one enumeration at the floor delta.
+
+    S = sum over offset vectors f of prod_i w_i(f_i) * exp(-(sum f_i log p_i)^2
+    / (4 eps^2)). The allowance is formed here: the out-of-band Gaussian and
+    pair-floor masses, twice the depth gap to the items of weight >= 100 delta
+    (a subset of the same enumeration, so both cuts share one split into
+    halves), and the weight the floor dropped (closed-form total minus the
+    enumerated mass) times 4 times the rate at which the mass between the
+    two cuts entered the Gaussian band.
+    """
     tabs = []
-    for p in primes:
-        q = 1.0 - p / X
-        w1, w2, fmax = _tables_for_prime(model, p, max(q, 0.0), delta)
-        tabs.append((math.log(p), w1 if which == "I1" else w2))
-    if not tabs:
-        return 1.0, 0.0, 1.0
+    total = 1.0
+    for p in (int(v) for v in primes_upto(int(X))):
+        q = q_of_prime(p, X)
+        tabs.append((math.log(p), _weight_table(model, p, q, delta, which)))
+        total *= _total_weight(model, p, q, which)
     # widest tables first keeps intermediate enumeration arrays small
     tabs.sort(key=lambda t: -len(t[1]))
-    half_a: list[tuple[float, np.ndarray]] = []
-    half_b: list[tuple[float, np.ndarray]] = []
-    size_a = size_b = 0.0
+    halves: tuple[list, list] = ([], [])
+    sizes = [0.0, 0.0]
     for logp, table in tabs:
-        if size_a <= size_b:
-            half_a.append((logp, table))
-            size_a += math.log(len(table))
-        else:
-            half_b.append((logp, table))
-            size_b += math.log(len(table))
-    xA, wA, scale_a = _enumerate_half(
-        [t[0] for t in half_a], [t[1] for t in half_a], delta
-    )
-    xB, wB, scale_b = _enumerate_half(
-        [t[0] for t in half_b], [t[1] for t in half_b], delta
-    )
+        k = 0 if sizes[0] <= sizes[1] else 1
+        halves[k].append((logp, table))
+        sizes[k] += math.log(len(table))
+    (xA, wA, scale_a), (xB, wB, scale_b) = (_enumerate_half(h, delta) for h in halves)
+    scale = scale_a * scale_b
     g_tol = 1e-18
     band = 2.0 * eps * math.sqrt(math.log(1.0 / g_tol))
-    pair_floor = delta * 1e-2
-    s, skipped = _banded_sum(
-        xA, wA, xB, wB, 1.0 / (4.0 * eps * eps), band, pair_floor
-    )
-    mass_a = float(np.sum(wA))
-    mass_b = float(np.sum(wB))
-    extras = g_tol * mass_a * mass_b + skipped
-    scale = scale_a * scale_b
-    return s * scale, extras * scale, mass_a * mass_b * scale
+    inv4eps2 = 1.0 / (4.0 * eps * eps)
+    s, skipped = _banded_sum(xA, wA, xB, wB, inv4eps2, band, delta * 1e-2)
+    mass = float(np.sum(wA)) * float(np.sum(wB)) * scale
+    shallow = delta * 100.0  # always two decades shallower than delta
+    keep_a, keep_b = wA >= shallow, wB >= shallow
+    xA, wA, xB, wB = xA[keep_a], wA[keep_a], xB[keep_b], wB[keep_b]
+    s_sh, _ = _banded_sum(xA, wA, xB, wB, inv4eps2, band, shallow * 1e-2)
+    gap = abs(s * scale - s_sh * scale)
+    marginal = mass - float(np.sum(wA)) * float(np.sum(wB)) * scale
+    rate = gap / marginal if marginal > 0 else 0.0
+    dropped = max(0.0, total - mass) * 4.0 * rate
+    return s * scale, g_tol * mass + skipped * scale + 2.0 * gap + dropped
 
 
 def moment_series(
@@ -465,11 +460,11 @@ def moment_series(
     grouped by per-prime exponent differences, common-divisor directions
     carry closed geometric sums, and the remaining enumeration is cut at
     a weight floor derived from n_cutoff (floor = n_cutoff^-2, clamped).
-    truncation_bound combines the out-of-band and pair-floor allowances
-    with a measured depth-convergence increment and the weight mass the
-    floor dropped (closed-form totals minus enumerated mass, scaled by
-    the outermost shell's measured band-entry rate); it grows, and never
-    silently, when n_cutoff is too small for the requested accuracy.
+    Each moment is one `_series_sum` call, which forms its own allowance
+    (out-of-band and pair-floor mass, the depth gap to a cut two decades
+    shallower, and the dropped mass scaled by the measured band-entry
+    rate); truncation_bound is sqrt(pi)/eps times their sum. It grows, and
+    never silently, when n_cutoff is too small for the requested accuracy.
     Costs rise steeply with X (weights approach 1); X <= 50 is the
     supported range. Measured for zeta at T = 5000 on a 2-core Xeon VM:
     n_cutoff 1e5 takes about 1.5 s at X = 18 and 6 s at X = 20; at X = 30,
@@ -477,8 +472,8 @@ def moment_series(
     and n_cutoff 1e3 takes about 150 s and 1.3 GB for truncation_bound/I2
     = 0.63.
     """
-    if X > X_SERIES_MAX:
-        raise DomainError(f"series path supports X <= {X_SERIES_MAX}, got {X}")
+    if X > X_MOMENTS_MAX:
+        raise DomainError(f"moment integrals support X <= {X_MOMENTS_MAX}, got {X}")
     if n_cutoff < 1:
         raise DomainError("n_cutoff must be >= 1")
     model.check_cutoff(X)
@@ -488,27 +483,9 @@ def moment_series(
     if X < 2:
         return MomentSeries(I1=norm, I2=norm, truncation_bound=0.0)
     delta = min(max(1.0 / float(n_cutoff) ** 2, 1e-13), 1e-4)
-    shallow = delta * 100.0  # always two decades shallower than delta
-    s2, extras2, mass2 = _series_sum(model, X, eps, delta, "I2")
-    s1, extras1, mass1 = _series_sum(model, X, eps, delta, "I1")
-    s2_shallow, _, mass2_shallow = _series_sum(model, X, eps, shallow, "I2")
-    s1_shallow, _, mass1_shallow = _series_sum(model, X, eps, shallow, "I1")
-    depth_gap = abs(s2 - s2_shallow) + abs(s1 - s1_shallow)
-    # dropped-mass term: weight not reached by the enumeration, scaled by
-    # the measured band rate of the outermost enumerated shell (the rate
-    # at which freshly added mass has been entering the Gaussian band)
-    dropped = 0.0
-    for which, s_val, s_sh, mass, mass_sh in (
-        ("I2", s2, s2_shallow, mass2, mass2_shallow),
-        ("I1", s1, s1_shallow, mass1, mass1_shallow),
-    ):
-        total = 1.0
-        for p in (int(v) for v in primes_upto(max(2, int(X))) if v <= X):
-            total *= _total_weight(model, p, 1.0 - p / X, which)
-        marginal = mass - mass_sh
-        rate = abs(s_val - s_sh) / marginal if marginal > 0 else 0.0
-        dropped += max(0.0, total - mass) * 4.0 * rate
-    bound = norm * (extras1 + extras2 + 2.0 * depth_gap + dropped)
+    s2, extra2 = _series_sum(model, X, eps, delta, "I2")
+    s1, extra1 = _series_sum(model, X, eps, delta, "I1")
+    bound = norm * (extra1 + extra2)
     return MomentSeries(
         I1=float(norm * s1), I2=float(norm * s2), truncation_bound=float(bound)
     )
@@ -544,51 +521,58 @@ def _integrand_sums(
     return f_val.real * weighted, f_val.imag * weighted, weighted
 
 
-def _simpson(model: LFunctionModel, X: float, eps: float, h: float) -> tuple[float, float, float]:
-    t_max = _GAUSS_CUT / eps
-    n = max(8, int(math.ceil(2.0 * t_max / h / 2.0)) * 2)
-    step = 2.0 * t_max / n
-    i1_re = i1_im = i2 = 0.0
-    chunk = 1 << 19
-    for lo in range(0, n + 1, chunk):
-        hi = min(lo + chunk, n + 1)
-        idx = np.arange(lo, hi)
-        t = -t_max + idx * step
-        w = np.where(idx % 2 == 1, 4.0, 2.0)
-        w[idx == 0] = 1.0
-        w[idx == n] = 1.0
-        a, b, c = _integrand_sums(model, X, eps, t)
-        i1_re += float(np.dot(w, a))
-        i1_im += float(np.dot(w, b))
-        i2 += float(np.dot(w, c))
-    scale = step / 3.0
-    return i1_re * scale, i1_im * scale, i2 * scale
+def _simpson_levels(
+    model: LFunctionModel, X: float, eps: float, t_max: float, n: int
+) -> list[tuple[float, float, float]]:
+    """Composite-Simpson (Re I1, Im I1, I2) on [-t_max, t_max] with n, 2n
+    and 4n intervals, from one integrand sweep over the 4n + 1 nodes of the
+    finest grid: each level reads every 4th, 2nd or 1st node."""
+    strides = (4, 2, 1)
+    h = 2.0 * t_max / (4 * n)
+    sums = [[0.0] * 3 for _ in strides]
+    chunk = 1 << 19  # a multiple of 4: every chunk starts on a node of every level
+    for lo in range(0, 4 * n + 1, chunk):
+        idx = np.arange(lo, min(lo + chunk, 4 * n + 1))
+        vals = _integrand_sums(model, X, eps, -t_max + idx * h)
+        for level, stride in zip(sums, strides):
+            j = idx[::stride] // stride
+            w = np.where(j % 2 == 1, 4.0, 2.0)
+            w[(j == 0) | (j == 4 * n // stride)] = 1.0
+            for c, v in enumerate(vals):
+                level[c] += float(np.dot(w, v[::stride]))
+    return [tuple(s * k * h / 3.0 for s in level) for level, k in zip(sums, strides)]
 
 
 def moment_quadrature(
     model: LFunctionModel, X: float, T: float, step: float
 ) -> MomentQuadrature:
     """Direct composite-Simpson evaluation of the moment integrals on
-    |t| <= 6.1/eps (the Gaussian is below 1e-16 beyond), at spacings
-    step, step/2, step/4. error_estimate is the last halving difference;
-    if halving stops reducing the difference, the rule is not resolving
-    the integrand and the failure is raised, not smoothed over.
+    |t| <= 6.1/eps (the Gaussian is below 1e-16 beyond) with n, 2n and 4n
+    intervals, n = max(8, 2 ceil((6.1/eps)/step)): spacings of about step,
+    step/2 and step/4 on nested grids, all fed by one integrand sweep over
+    the 4n + 1 nodes of the finest. error_estimate is the last halving
+    difference; if halving stops reducing the difference, the rule is not
+    resolving the integrand and the failure is raised, not smoothed over.
 
-    The three levels take 14 (6.1/eps)/step nodes to within 9 (1.25e6 at
-    the defaults T = 5000, step 0.04). Above QUAD_NODES_MAX = 2^25, about
-    30 s at the 0.8-1.0 us per node measured at X = 18 on a 2-core Xeon VM,
+    The sweep takes 8 (6.1/eps)/step nodes to within 9 (7.2e5 at the
+    defaults T = 5000, step 0.04). Above QUAD_NODES_MAX = 2^25, about 20 s
+    at the 0.55-0.75 us per node measured at X = 18 on a 2-core Xeon VM,
     ResourceError is raised before any integrand work."""
     if step <= 0:
         raise DomainError("quadrature step must be positive")
+    if X > X_MOMENTS_MAX:
+        raise DomainError(f"moment integrals support X <= {X_MOMENTS_MAX}, got {X}")
     model.check_cutoff(X)
     eps = resonator_config(T).eps
-    nodes = 14.0 * (_GAUSS_CUT / eps) / step  # a float: no step overflows the count
-    if not nodes <= QUAD_NODES_MAX:
+    t_max = _GAUSS_CUT / eps
+    half = t_max / step  # stays a float past the budget, so no step overflows ceil
+    n = max(8, 2 * math.ceil(half)) if half <= QUAD_NODES_MAX else 2.0 * half
+    if not 4 * n + 1 <= QUAD_NODES_MAX:
         raise ResourceError(
-            f"quadrature needs {nodes:.3g} nodes over its three levels, beyond "
-            f"the budget {QUAD_NODES_MAX}; raise step or lower T"
+            f"quadrature needs {4 * n + 1:.3g} nodes, beyond the budget "
+            f"{QUAD_NODES_MAX}; raise step or lower T"
         )
-    vals = [_simpson(model, X, eps, step / f) for f in (1.0, 2.0, 4.0)]
+    vals = _simpson_levels(model, X, eps, t_max, n)
     e1 = max(abs(vals[1][0] - vals[0][0]), abs(vals[1][2] - vals[0][2]))
     e2 = max(abs(vals[2][0] - vals[1][0]), abs(vals[2][2] - vals[1][2]))
     floor = 1e-12 * max(abs(vals[2][0]), abs(vals[2][2]))

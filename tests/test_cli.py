@@ -72,12 +72,13 @@ class TestExitCodes:
       "--Y", "1e3"], 3, None),
     (["moments", "--X", "3", "--T", "1e9", "--n-cutoff", "100"], 3, None),
     (["moments", "--X", "3", "--step", "1e-7", "--n-cutoff", "100"], 3, None),
+    (["moments", "--T", "1e8"], 3, None),
 ], ids=["x-nan", "x-inf", "x-grid-abc", "n-cutoff-1e400", "t-nan", "out-missing-dir",
         "mertens-overflow", "resonance-overflow", "oracle-overflow", "scan-overflow",
         "evaluate-sieve-budget", "calibrate-sieve-budget", "evaluate-phase-budget",
         "calibrate-phase-budget", "mertens-sieve-budget", "scan-grid-budget",
         "scan-grid-budget-inf", "moments-quadrature-budget-T",
-        "moments-quadrature-budget-step"])
+        "moments-quadrature-budget-step", "moments-quadrature-budget-default-X"])
 def test_bad_input_is_one_error_line(argv, want, reason, capsys, tmp_path):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
     code, _, err = run_capture(argv, capsys)
@@ -85,6 +86,17 @@ def test_bad_input_is_one_error_line(argv, want, reason, capsys, tmp_path):
     assert re.fullmatch(r"error: \w+: [^\n]+\n", err)
     if reason is not None:
         assert err.startswith(f"error: numeric: {reason} (log ")
+
+
+def test_moments_budget_refuses_before_the_series(capsys, monkeypatch):
+    # the quadrature's node budget decides before any series work starts
+    def series_must_not_run(*args):
+        raise AssertionError("moment_series ran before the quadrature budget")
+
+    monkeypatch.setattr("olx.cli.moment_series", series_must_not_run)
+    code, _, err = run_capture(["moments", "--T", "1e8"], capsys)
+    assert code == 3
+    assert err.startswith("error: resource: quadrature needs")
 
 
 @pytest.mark.parametrize("step, count", [("1e-300", "9.9e+302"), ("5e-324", "inf")])
@@ -254,3 +266,20 @@ class TestThreadsEnv:
             # strip the header line (it embeds the thread count)
             outputs.append(proc.stdout.split(b"\n", 1)[1])
         assert outputs[0] == outputs[1]
+
+
+def test_traced_bench_run_matches_the_cli(tmp_path):
+    # the benchmark's traced pass rebinds its LAYERS functions by name;
+    # a refactor that renames or inlines one must not go unnoticed
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+    spans = tmp_path / "spans.json"
+    args = ["moments", "--X", "10", "--n-cutoff", "1e4"]
+    traced = subprocess.run([sys.executable, str(script), str(spans), *args],
+                            capture_output=True)
+    plain = subprocess.run([sys.executable, "-m", "olx.cli", *args],
+                           capture_output=True, check=True)
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    names = {span[1] for span in json.loads(spans.read_text())}
+    assert {"resonator.moment_series", "resonator.moment_quadrature",
+            "lfamily.local_coefficients"} <= names

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import olx.resonator as resonator
 from olx.errors import DomainError
 from olx.lfamily import EULER_GAMMA
 from olx.resonator import (
     R_eval,
     _banded_sum,
+    _integrand_sums,
+    _simpson_levels,
     asymptotic_bound,
     moment_quadrature,
     moment_series,
@@ -333,3 +336,60 @@ class TestMoments:
     def test_quadrature_step_domain(self, zeta):
         with pytest.raises(DomainError):
             moment_quadrature(zeta, 10.0, 5000.0, 0.0)
+
+    def test_quadrature_x_cap(self, zeta):
+        with pytest.raises(DomainError):
+            moment_quadrature(zeta, 60.0, 5000.0, 0.04)
+
+    @pytest.mark.parametrize("fixture, X", [
+        ("zeta", 10.0), ("zeta2", 12.0), ("root5", 14.0), ("rs_small", 10.0)])
+    def test_series_bound_covers_cross_path_gap(self, fixture, X, request):
+        # the series allowance plus the halving difference must cover the
+        # whole distance between the two independent paths
+        model = request.getfixturevalue(fixture)
+        ms = moment_series(model, X, 5000.0, 10**5)
+        mq = moment_quadrature(model, X, 5000.0, 0.04)
+        allowance = ms.truncation_bound + mq.error_estimate
+        assert abs(ms.I1 - mq.I1) <= allowance
+        assert abs(ms.I2 - mq.I2) <= allowance
+
+
+def simpson_oracle(model, X, eps, t_max, m):
+    """Composite Simpson with m intervals on [-t_max, t_max], on its own grid."""
+    t = np.linspace(-t_max, t_max, m + 1)
+    w = np.full(m + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    h = 2.0 * t_max / m
+    return [float(np.dot(w, v)) * h / 3.0 for v in _integrand_sums(model, X, eps, t)]
+
+
+class TestNestedSimpson:
+    T, STEP = 5000.0, 0.04
+
+    def level_count(self):
+        t_max = 6.1 / resonator_config(self.T).eps
+        return t_max, max(8, 2 * math.ceil(t_max / self.STEP))
+
+    def test_one_sweep_over_the_finest_grid(self, zeta, monkeypatch):
+        seen = []
+
+        def counting(model, X, eps, t):
+            seen.append(len(t))
+            return _integrand_sums(model, X, eps, t)
+
+        monkeypatch.setattr(resonator, "_integrand_sums", counting)
+        moment_quadrature(zeta, 10.0, self.T, self.STEP)
+        _, n = self.level_count()
+        assert sum(seen) == 4 * n + 1
+
+    def test_levels_match_single_level_simpson(self, gauss):
+        X = 10.0
+        eps = resonator_config(self.T).eps
+        t_max, n = self.level_count()
+        levels = _simpson_levels(gauss, X, eps, t_max, n)
+        for got, m in zip(levels, (n, 2 * n, 4 * n)):
+            want = simpson_oracle(gauss, X, eps, t_max, m)
+            scale = max(abs(v) for v in want)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * scale
