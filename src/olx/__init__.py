@@ -52,11 +52,9 @@ from .resonator import (
     MomentSeries,
     ResonanceReport,
     ResonatorConfig,
-    R_eval,
     asymptotic_bound,
     moment_quadrature,
     moment_series,
-    q_of_int,
     q_of_prime,
     resonance_product,
     resonance_products_at_cutoff,
@@ -76,7 +74,6 @@ __all__ = [
     "NumericError",
     "OlxError",
     "PrimeTable",
-    "R_eval",
     "RangeError",
     "ResonanceReport",
     "ResonatorConfig",
@@ -104,7 +101,6 @@ __all__ = [
     "moment_series",
     "parse_model",
     "power_sum",
-    "q_of_int",
     "q_of_prime",
     "refine_peak",
     "resonance_product",

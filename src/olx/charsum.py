@@ -38,7 +38,10 @@ def periodic_lseries(chi: np.ndarray, s: complex) -> tuple[complex, float]:
 
     chi must be an integer array over one full period with zero total.
     bound is the tail's remainder bound plus a rounding allowance for the
-    head sum (the tail totals at most about q/M <= 1/16 in modulus).
+    head sum (the tail totals at most about q/M <= 1/16 in modulus) plus,
+    off the real axis, the rounding of the head's phases: t log n is
+    rounded twice (log n and the product, each within u = 2^-53 relative),
+    so the term chi(n) n^(-s) moves by at most 2u |t| log n |chi(n)| / n.
     """
     if s.real != 1.0:
         raise DomainError(f"character series is evaluated on Re(s) = 1, got s = {s}")
@@ -54,6 +57,7 @@ def periodic_lseries(chi: np.ndarray, s: complex) -> tuple[complex, float]:
         )
     chi_f = np.asarray(chi, dtype=np.float64)
     head = 0.0 + 0.0j
+    phase = 0.0  # sum |chi(n)| |t| log n / n over the head
     for lo in range(1, M + 1, 1 << 20):  # chunked: M can reach 2^27
         k = np.arange(lo, min(lo + (1 << 20), M + 1))
         n = k.astype(np.float64)
@@ -63,6 +67,7 @@ def periodic_lseries(chi: np.ndarray, s: complex) -> tuple[complex, float]:
         else:  # n^(-s) = (cos(t log n) - i sin(t log n)) / n
             phi = t * np.log(n)
             head += complex(np.sum(w * np.cos(phi)), -np.sum(w * np.sin(phi)))
+            phase += abs(float(np.dot(np.abs(w), phi)))
 
     a = np.arange(1, q + 1)
     n = M + a.astype(np.float64)
@@ -80,4 +85,4 @@ def periodic_lseries(chi: np.ndarray, s: complex) -> tuple[complex, float]:
     remainder = abs(EM_BERNOULLI[-1]) / math.factorial(16) / 16 * float(np.max(np.abs(chi_f)))
     for j in range(16):
         remainder *= abs(s + j) * q / M
-    return head + tail, remainder + 4e-16 * math.log(M + 1)
+    return head + tail, remainder + 4e-16 * math.log(M + 1) + 2.0**-52 * phase

@@ -211,14 +211,16 @@ def make_zeta_power(m: int) -> LFunctionModel:
 def dirichlet_direct(d: int, t: float) -> complex:
     """L(1 + it, chi_d) for a fundamental discriminant d != 1 with
     |d| <= 1e6, to 1e-9 absolute: the character series of charsum, whose
-    stated remainder and rounding bound is checked against that target."""
+    stated remainder and rounding bound is checked against that target.
+    Its phase rounding grows with |t|, so the check refuses beyond about
+    |t| = 8e4 for d = -4 and 5e4 for d = 5."""
     if not is_fundamental_discriminant(d):
         raise DomainError(f"{d} is not a fundamental discriminant != 1")
     if abs(d) > 1_000_000:
         raise DomainError(f"|d| <= 1e6 required, got {d}")
     value, bound = periodic_lseries(character_table(d), complex(1.0, float(t)))
     if bound > 1e-9:
-        raise NumericError(f"character series tail bound {bound:.2e} exceeds 1e-9")
+        raise NumericError(f"character series error bound {bound:.2e} exceeds 1e-9")
     return complex(value)
 
 

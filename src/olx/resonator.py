@@ -1,5 +1,5 @@
-"""Resonance machinery: multiplicative weights, the resonator product,
-the lower-bound factorization, and the two moment-integral paths.
+"""Resonance machinery: multiplicative weights, the lower-bound
+factorization, and the two moment-integral paths.
 
 For a scale T, the cutoff is X = (log T)(log log T)/6 and primes p <= X
 get weights q_p = 1 - p/X, extended completely multiplicatively to q_n.
@@ -103,38 +103,6 @@ def q_of_prime(p: int, X: float) -> float:
     return max(0.0, 1.0 - p / X)
 
 
-def q_of_int(n: int, X: float) -> float:
-    """Completely multiplicative extension: q_n = prod q_p^(v_p(n)); q_1 = 1.
-
-    Zero as soon as n has a prime factor beyond X, so only divisions by
-    primes p <= X are ever needed (any cofactor they leave behind is a
-    product of larger primes).
-    """
-    if n < 1:
-        raise DomainError(f"q_n needs n >= 1, got {n}")
-    if n == 1:
-        return 1.0
-    q = 1.0
-    m = n
-    if X >= 2:
-        for p in primes_upto(int(X)):
-            p = int(p)
-            if p * p > m:
-                break
-            if m % p == 0:
-                qp = q_of_prime(p, X)
-                while m % p == 0:
-                    q *= qp
-                    m //= p
-                if q == 0.0:
-                    return 0.0
-    if m > 1:
-        if m > X:
-            return 0.0
-        q *= q_of_prime(m, X)
-    return q
-
-
 def _weights(primes: np.ndarray, X: float) -> np.ndarray:
     """Vectorized q_p = max(0, 1 - p/X)."""
     return np.maximum(1.0 - primes.astype(np.float64) / X, 0.0)
@@ -204,23 +172,6 @@ def resonance_product(
     )
 
 
-def R_eval(t: float, X: float) -> complex:
-    """The resonator R(t) = prod_{p <= X} (1 - q_p p^(it))^(-1); the empty
-    product (X < 2) is 1."""
-    if X < 2:
-        return complex(1.0)
-    primes = primes_upto(int(X))
-    value = complex(1.0)
-    for p in primes:
-        p = int(p)
-        q = q_of_prime(p, X)
-        f = 1.0 - q * complex(math.cos(t * math.log(p)), math.sin(t * math.log(p)))
-        if abs(f) < 1e-15:
-            raise NumericError(f"degenerate resonator factor at p = {p}")
-        value /= f
-    return value
-
-
 # ---------------------------------------------------------------------------
 # moment integrals, series path
 # ---------------------------------------------------------------------------
@@ -246,33 +197,38 @@ def _local_b(
 
 def _weight_table(
     model: LFunctionModel, p: int, q: float, delta: float, which: str
-) -> np.ndarray:
-    """The one weight table a moment needs, over offsets f = -fmax..fmax.
+) -> tuple[np.ndarray, float]:
+    """The one weight table a moment needs, over offsets f = -fmax..fmax,
+    and its closed-form total over all of Z.
 
     I2: w2(f) = q^|f| / (1 - q^2)            (pair side m vs n, common part summed)
+        total (1 + q) / ((1 - q)(1 - q^2))
     I1: w1(f) = sum_j b(p^(j+f+)) q^(j+f-)   (b-side vs q-side exponent difference)
+        total (sum_x b(p^x)) * (sum_y q^y): the double geometric sum factorizes
+
+    At q = 0 (p = X) only offsets f >= 0 carry weight (f = 0 alone for
+    I2) and the formulas still hold; only fmax is set by p instead of the
+    rate max(q, 1/p).
+    The I1 table and total share one b table: its prefix does not depend
+    on its depth, so the total reads the first 65 entries of the table.
     """
-    if q <= 0.0:
-        # only the coefficient side survives; offsets f >= 0
-        fmax = max(1, math.ceil(math.log(1.0 / delta) / math.log(p)))
-        w = np.zeros(2 * fmax + 1)
-        if which == "I2":
-            w[fmax] = 1.0
-        else:
-            w[fmax:] = _local_b(model, p, 0.0, fmax)
-        return w
     rate = max(q, 1.0 / p)
-    fmax = max(2, math.ceil(math.log(delta * 1e-3) / math.log(rate)))
+    if q > 0.0:
+        fmax = max(2, math.ceil(math.log(delta * 1e-3) / math.log(rate)))
+    else:
+        fmax = max(1, math.ceil(math.log(1.0 / delta) / math.log(p)))
     if which == "I2":
-        return q ** np.abs(np.arange(-fmax, fmax + 1)) / (1.0 - q * q)
+        total = (1.0 + q) / ((1.0 - q) * (1.0 - q * q))
+        return q ** np.abs(np.arange(-fmax, fmax + 1)) / (1.0 - q * q), total
     jmax = fmax + max(8, math.ceil(math.log(1e-20) / math.log(max(q * q, 1e-12))))
-    b = _local_b(model, p, q, fmax + jmax + 1)
+    b = _local_b(model, p, q, max(64, fmax + jmax + 1))
+    total = (float(np.sum(b[:65])) + float(b[64]) * rate / (1.0 - rate)) / (1.0 - q)
     w1 = np.empty(2 * fmax + 1)
     qj = q ** np.arange(jmax)
     for idx, f in enumerate(range(-fmax, fmax + 1)):
         fp, fm = max(f, 0), max(-f, 0)
         w1[idx] = float(np.dot(b[fp : fp + jmax], qj * (q**fm)))
-    return w1
+    return w1, total
 
 
 def _enumerate_half(
@@ -333,9 +289,11 @@ def _banded_sum(
     inv4eps2: float,
     band: float,
     pair_floor: float,
-) -> tuple[float, float]:
+    shallow: float,
+) -> tuple[float, float, float]:
     """sum wA wB exp(-(xA+xB)^2 * inv4eps2) over pairs with |xA+xB| <= band
-    and wA*wB >= pair_floor, via weight-octave buckets and sorted windows.
+    and wA*wB >= pair_floor, via weight-octave buckets and sorted windows,
+    together with its sub-sum over the items of weight >= shallow.
 
     Both sides are bucketed by weight octave and sorted by x inside each
     bucket. An octave pair (oa, ob) is admitted when 2^-(oa+ob) reaches
@@ -345,13 +303,35 @@ def _banded_sum(
     in A and B, so the evaluated pair set does not depend on which side
     searches (up to rounding at the band edge, where g <= 1e-18).
 
-    Returns (sum, floor_mass_bound) where the second term bounds the mass
-    skipped by the pair floor (octave pair count times floor).
+    The shallow sub-sum covers the in-band pairs with both weights >=
+    shallow in the octave pairs admitted at shallow * 1e-2 (which must
+    not undercut pair_floor): the pair set of the same sum over only the
+    items of weight >= shallow with that floor. It reuses each chunk's
+    terms. A chunk of two buckets wholly at or above the cut adds its
+    chunk sum, one with a bucket wholly below adds nothing, and only the
+    chunks of a bucket that straddles the cut are masked.
+
+    Returns (sum, floor_mass_bound, shallow_sum), where the second term
+    bounds the mass skipped by the pair floor (octave pair count times
+    floor).
     """
     xA_s, wA_s, a_starts = _octave_blocks(xA, wA)
     xB_s, wB_s, b_starts = _octave_blocks(xB, wB)
+
+    def cut_sides(w: np.ndarray, starts: np.ndarray) -> list[int]:
+        """Per octave: 2 if every weight is >= shallow, 0 if none is (or
+        the bucket is empty), 1 if the bucket straddles the cut."""
+        out = []
+        for o in range(61):
+            seg = w[starts[o] : starts[o + 1]]
+            out.append(0 if not len(seg) or seg.max() < shallow else
+                       2 if seg.min() >= shallow else 1)
+        return out
+
+    a_cut, b_cut = cut_sides(wA_s, a_starts), cut_sides(wB_s, b_starts)
     total = 0.0
     skipped = 0.0
+    total_sh = 0.0
     chunk = 8_000_000
     for oa in range(61):
         a_lo, a_hi = a_starts[oa], a_starts[oa + 1]
@@ -361,9 +341,12 @@ def _banded_sum(
             b_lo, b_hi = b_starts[ob], b_starts[ob + 1]
             if b_hi == b_lo:
                 continue
-            if 2.0 ** (-int(oa + ob)) < pair_floor:
-                skipped += 2.0 ** (-int(oa + ob)) * int(min(a_hi - a_lo, b_hi - b_lo))
+            pair_w = 2.0 ** (-int(oa + ob))
+            if pair_w < pair_floor:
+                skipped += pair_w * int(min(a_hi - a_lo, b_hi - b_lo))
                 continue
+            # 2: every pair is shallow, 0: none is, 1: mask each chunk
+            cut = min(a_cut[oa], b_cut[ob]) if pair_w >= shallow * 1e-2 else 0
             a = xA_s[a_lo:a_hi], wA_s[a_lo:a_hi]
             b = xB_s[b_lo:b_hi], wB_s[b_lo:b_hi]
             (sx, sw), (lx, lw) = (a, b) if a_hi - a_lo <= b_hi - b_lo else (b, a)
@@ -380,49 +363,39 @@ def _banded_sum(
                 flat = np.arange(csum[end] - csum[pos]) + np.repeat(
                     lo[pos:end] - (csum[pos:end] - csum[pos]), L
                 )
-                g = np.exp(-((np.repeat(sx[pos:end], L) + lx[flat]) ** 2) * inv4eps2)
-                total += float(np.sum(np.repeat(sw[pos:end], L) * lw[flat] * g))
+                terms = np.exp(-((np.repeat(sx[pos:end], L) + lx[flat]) ** 2) * inv4eps2)
+                terms *= np.repeat(sw[pos:end], L) * lw[flat]
+                part = float(np.sum(terms))
+                total += part
+                if cut == 2:
+                    total_sh += part
+                elif cut:
+                    terms[(lw < shallow)[flat] | np.repeat(sw[pos:end] < shallow, L)] = 0.0
+                    total_sh += float(np.sum(terms))
                 pos = end
-    return total, skipped
-
-
-def _total_weight(
-    model: LFunctionModel, p: int, q: float, which: str
-) -> float:
-    """Closed-form sum of the per-prime weight table over all of Z.
-
-    I2: sum_f q^|f|/(1-q^2) = (1+q)/((1-q)(1-q^2)); I1: the double
-    geometric sum factorizes into (sum_x b(p^x)) * (sum_y q^y)."""
-    if which == "I2":
-        if q <= 0.0:
-            return 1.0
-        return (1.0 + q) / ((1.0 - q) * (1.0 - q * q))
-    depth = 64
-    b = _local_b(model, p, q, depth)
-    rate = max(q, 1.0 / p)
-    b_total = float(np.sum(b)) + float(b[-1]) * rate / (1.0 - rate)
-    return b_total / (1.0 - q) if q > 0.0 else b_total
+    return total, skipped, total_sh
 
 
 def _series_sum(
     model: LFunctionModel, X: float, eps: float, delta: float, which: str
 ) -> tuple[float, float]:
-    """(S, allowance) for one moment, from one enumeration at the floor delta.
+    """(S, allowance) for one moment, from one enumeration at the floor
+    delta and one pair sum over it.
 
     S = sum over offset vectors f of prod_i w_i(f_i) * exp(-(sum f_i log p_i)^2
     / (4 eps^2)). The allowance is formed here: the out-of-band Gaussian and
     pair-floor masses, twice the depth gap to the items of weight >= 100 delta
-    (a subset of the same enumeration, so both cuts share one split into
-    halves), and the weight the floor dropped (closed-form total minus the
-    enumerated mass) times 4 times the rate at which the mass between the
-    two cuts entered the Gaussian band.
+    (the pair sum's shallow sub-sum, so both cuts share one split into
+    halves and one pass over the in-band pairs), and the weight the floor
+    dropped (closed-form total minus the enumerated mass) times 4 times the
+    rate at which the mass between the two cuts entered the Gaussian band.
     """
     tabs = []
     total = 1.0
     for p in (int(v) for v in primes_upto(int(X))):
-        q = q_of_prime(p, X)
-        tabs.append((math.log(p), _weight_table(model, p, q, delta, which)))
-        total *= _total_weight(model, p, q, which)
+        table, table_total = _weight_table(model, p, q_of_prime(p, X), delta, which)
+        tabs.append((math.log(p), table))
+        total *= table_total
     # widest tables first keeps intermediate enumeration arrays small
     tabs.sort(key=lambda t: -len(t[1]))
     halves: tuple[list, list] = ([], [])
@@ -436,14 +409,12 @@ def _series_sum(
     g_tol = 1e-18
     band = 2.0 * eps * math.sqrt(math.log(1.0 / g_tol))
     inv4eps2 = 1.0 / (4.0 * eps * eps)
-    s, skipped = _banded_sum(xA, wA, xB, wB, inv4eps2, band, delta * 1e-2)
-    mass = float(np.sum(wA)) * float(np.sum(wB)) * scale
     shallow = delta * 100.0  # always two decades shallower than delta
-    keep_a, keep_b = wA >= shallow, wB >= shallow
-    xA, wA, xB, wB = xA[keep_a], wA[keep_a], xB[keep_b], wB[keep_b]
-    s_sh, _ = _banded_sum(xA, wA, xB, wB, inv4eps2, band, shallow * 1e-2)
+    s, skipped, s_sh = _banded_sum(xA, wA, xB, wB, inv4eps2, band, delta * 1e-2, shallow)
+    mass = float(np.sum(wA)) * float(np.sum(wB)) * scale
     gap = abs(s * scale - s_sh * scale)
-    marginal = mass - float(np.sum(wA)) * float(np.sum(wB)) * scale
+    mass_sh = float(np.sum(wA[wA >= shallow])) * float(np.sum(wB[wB >= shallow])) * scale
+    marginal = mass - mass_sh
     rate = gap / marginal if marginal > 0 else 0.0
     dropped = max(0.0, total - mass) * 4.0 * rate
     return s * scale, g_tol * mass + skipped * scale + 2.0 * gap + dropped
@@ -461,13 +432,14 @@ def moment_series(
     carry closed geometric sums, and the remaining enumeration is cut at
     a weight floor derived from n_cutoff (floor = n_cutoff^-2, clamped).
     Each moment is one `_series_sum` call, which forms its own allowance
-    (out-of-band and pair-floor mass, the depth gap to a cut two decades
-    shallower, and the dropped mass scaled by the measured band-entry
-    rate); truncation_bound is sqrt(pi)/eps times their sum. It grows, and
-    never silently, when n_cutoff is too small for the requested accuracy.
-    Costs rise steeply with X (weights approach 1); X <= 50 is the
-    supported range. Measured for zeta at T = 5000 on a 2-core Xeon VM:
-    n_cutoff 1e5 takes about 1.5 s at X = 18 and 6 s at X = 20; at X = 30,
+    from one pair sum (out-of-band and pair-floor mass, the depth gap to a
+    cut two decades shallower, read from the same pair sum, and the
+    dropped mass scaled by the measured band-entry rate); truncation_bound
+    is sqrt(pi)/eps times their sum. It grows, and never silently, when
+    n_cutoff is too small for the requested accuracy. Costs rise steeply
+    with X (weights approach 1); X <= 50 is the supported range. Measured
+    for zeta at T = 5000 on a 2-core Xeon VM: n_cutoff 1e5 takes about
+    1.1 s at X = 18, 5 s at X = 20 and 15 s at X = 22; at X = 30,
     n_cutoff 1e4 exceeds the 12M-item enumeration budget (ResourceError)
     and n_cutoff 1e3 takes about 150 s and 1.3 GB for truncation_bound/I2
     = 0.63.

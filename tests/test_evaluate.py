@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from olx.charsum import periodic_lseries
 from olx.errors import DomainError, RangeError, ResourceError, UnsupportedModelError
 from olx.evaluate import (
     T_MAX,
@@ -110,6 +111,22 @@ class TestMpmathOracle:
                 ref = complex(mpmath.dirichlet(mpmath.mpc(1, t), chi))
                 assert abs(dirichlet_direct(d, t) - ref) <= 1e-9, t
 
+    # d = -739 stops at 31.5: its 30-digit reference takes 39 s at t = 1234.5
+    @pytest.mark.parametrize("d, ts", [
+        (-4, (7.0, 31.5, 1234.5, 9999.0)),
+        (5, (7.0, 31.5, 1234.5, 9999.0)),
+        (-739, (7.0, 31.5)),
+    ], ids=["-4", "5", "-739"])
+    def test_character_series_bound_off_the_axis(self, d, ts):
+        # the stated bound, phase rounding included, covers the actual error
+        mpmath = pytest.importorskip("mpmath")
+        chi = character_table(d)
+        with mpmath.workdps(30):
+            for t in ts:
+                ref = complex(mpmath.dirichlet(mpmath.mpc(1, t), [int(c) for c in chi]))
+                value, bound = periodic_lseries(chi, complex(1.0, t))
+                assert abs(value - ref) <= bound, t
+
 
 class TestDirichletDirect:
     def test_gauss_at_zero(self):
@@ -178,7 +195,7 @@ class TestEulerProductOnLine:
     lambda m, x: euler_product_on_line(m, 1.0, x),
     lambda m, x: log_expansion(m, x),
     lambda m, x: resonance_products_at_cutoff(m, x),
-    lambda m, x: moment_series(m, x, 5000.0, 100),  # X <= X_SERIES_MAX
+    lambda m, x: moment_series(m, x, 5000.0, 100),  # X <= X_MOMENTS_MAX
     lambda m, x: moment_quadrature(m, x, 5000.0, 0.05),
 ], ids=["truncated_product_at_1", "euler_product_on_line", "log_expansion",
         "resonance_products_at_cutoff", "moment_series", "moment_quadrature"])

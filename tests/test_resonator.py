@@ -7,14 +7,12 @@ import olx.resonator as resonator
 from olx.errors import DomainError
 from olx.lfamily import EULER_GAMMA
 from olx.resonator import (
-    R_eval,
     _banded_sum,
     _integrand_sums,
     _simpson_levels,
     asymptotic_bound,
     moment_quadrature,
     moment_series,
-    q_of_int,
     q_of_prime,
     resonance_product,
     resonance_products_at_cutoff,
@@ -22,23 +20,6 @@ from olx.resonator import (
 )
 
 E_POW_E = math.exp(math.e)
-
-
-def q_table_oracle(limit, X):
-    """q_n for n = 1..limit via a smallest-prime-factor sweep (independent
-    of the trial-division implementation)."""
-    q = [0.0] * (limit + 1)
-    q[1] = 1.0
-    spf = list(range(limit + 1))
-    for p in range(2, int(limit**0.5) + 1):
-        if spf[p] == p:
-            for m in range(p * p, limit + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    for n in range(2, limit + 1):
-        p = spf[n]
-        q[n] = q[n // p] * q_of_prime(p, X)
-    return q
 
 
 class TestConfig:
@@ -70,32 +51,6 @@ class TestWeights:
         assert [q_of_prime(p, 10.0) for p in (2, 3, 5, 7)] == pytest.approx(
             [0.8, 0.7, 0.5, 0.3]
         )
-
-    def test_unit(self):
-        assert q_of_int(1, 100.0) == 1.0
-
-    def test_twelve(self):
-        assert abs(q_of_int(12, 100.0) - 0.98**2 * 0.97) < 1e-12
-
-    def test_large_prime_factor_kills(self):
-        assert q_of_int(2 * 101, 100.0) == 0.0
-
-    def test_multiplicative_exhaustive(self):
-        X = 100.0
-        limit = 1000
-        q = q_table_oracle(limit * limit, X)
-        for m in range(1, limit + 1):
-            assert abs(q[m] - q_of_int(m, X)) < 1e-15, m
-        for m in range(1, limit + 1):
-            if q[m] == 0.0:
-                continue
-            for n in range(1, limit + 1):
-                if math.gcd(m, n) == 1:
-                    assert abs(q[m * n] - q[m] * q[n]) < 1e-12
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
-            q_of_int(0, 10.0)
 
 
 class TestResonanceProducts:
@@ -163,33 +118,20 @@ class TestAsymptoticBound:
 
 
 class TestResonator:
-    def test_at_zero(self):
-        want = 10_000.0 / 210.0
-        assert abs(R_eval(0.0, 10.0) - want) < 1e-9
-
-    def test_empty_product(self):
-        assert R_eval(123.0, 1.5) == 1.0
-
-    def test_conjugate_symmetry(self):
-        for t in (1.0, 10.0, 100.0):
-            assert abs(R_eval(-t, 50.0) - R_eval(t, 50.0).conjugate()) < 1e-12
-
-    def test_square_modulus_matches_quadrature_formula(self):
-        # |R(t)|^2 from the complex product vs the real per-prime form
-        # used inside the quadrature integrands
-        import numpy as np
-
+    def test_square_modulus_matches_quadrature_formula(self, zeta):
+        # |R(t)|^2 * Phi(t) from the quadrature integrands vs the complex
+        # resonator product R(t) = prod_{p <= X} (1 - q_p p^(it))^(-1)
         from olx.primes import primes_upto
 
-        X = 20.0
-        for t in (0.7, 5.0, 42.0):
-            direct = abs(R_eval(t, X)) ** 2
-            acc = 1.0
+        X, eps = 20.0, 0.01
+        t = np.array([0.7, 5.0, 42.0])
+        r2_phi = _integrand_sums(zeta, X, eps, t)[2]
+        for tk, got in zip(t, r2_phi):
+            R = complex(1.0)
             for p in primes_upto(int(X)):
-                p = int(p)
-                q = q_of_prime(p, X)
-                acc /= 1.0 - 2.0 * q * math.cos(t * math.log(p)) + q * q
-            assert abs(direct / acc - 1) < 1e-12
+                R /= 1.0 - q_of_prime(int(p), X) * complex(math.cos(tk * math.log(p)),
+                                                           math.sin(tk * math.log(p)))
+            assert abs(got / math.exp(-((eps * tk) ** 2)) / abs(R) ** 2 - 1) < 1e-12
 
 
 class TestBandedSum:
@@ -198,6 +140,7 @@ class TestBandedSum:
     BAND = 0.05
     INV4EPS2 = math.log(1e18) / BAND**2  # g = 1e-18 at the band edge
     FLOOR = 1e-9  # cuts octave pairs with oa + ob >= 30
+    SHALLOW = 2.0**-10.5  # inside octave 10; admits octave pairs with oa + ob <= 17
 
     @staticmethod
     def items(rng, n):
@@ -230,11 +173,76 @@ class TestBandedSum:
                 if nA[oa] and nB[ob] and not admitted[oa, ob]:
                     skipped += 2.0 ** (-(oa + ob)) * int(min(nA[oa], nB[ob]))
 
-        total, floor_mass = _banded_sum(xA, wA, xB, wB, self.INV4EPS2, self.BAND, self.FLOOR)
+        total, floor_mass, _ = _banded_sum(
+            xA, wA, xB, wB, self.INV4EPS2, self.BAND, self.FLOOR, self.SHALLOW)
         assert abs(total / direct - 1.0) < 1e-13
         assert floor_mass == skipped
-        swapped, _ = _banded_sum(xB, wB, xA, wA, self.INV4EPS2, self.BAND, self.FLOOR)
+        swapped, _, _ = _banded_sum(
+            xB, wB, xA, wA, self.INV4EPS2, self.BAND, self.FLOOR, self.SHALLOW)
         assert abs(swapped / total - 1.0) < 1e-14
+
+    def test_shallow_sub_sum(self):
+        rng = np.random.default_rng(20190)  # the seeded case above
+        xA, wA = self.items(rng, 400)
+        xB, wB = self.items(rng, 250)
+        octA = np.minimum(np.floor(-np.log2(wA)), 60).astype(int)
+        octB = np.minimum(np.floor(-np.log2(wB)), 60).astype(int)
+
+        def side(w, octs):
+            # per octave: 2 all >= SHALLOW, 1 straddling, 0 none (or empty)
+            return np.array([0 if not (octs == o).any() or w[octs == o].max() < self.SHALLOW
+                             else 2 if w[octs == o].min() >= self.SHALLOW else 1
+                             for o in range(61)])
+
+        sA, sB = side(wA, octA), side(wB, octB)
+        nA = np.bincount(octA, minlength=61)
+        nB = np.bincount(octB, minlength=61)
+        o = np.arange(61)
+        admitted = 2.0 ** -(o[:, None] + o[None, :]) >= self.SHALLOW * 1e-2
+        both = admitted & (nA[:, None] > 0) & (nB[None, :] > 0)
+        kind = np.minimum(sA[:, None], sB[None, :])
+        # octave pairs (one chunk each at these sizes) wholly above the
+        # cut, wholly below it on one side, and straddling it all occur
+        assert (both & (kind == 2)).any()
+        assert (both & (kind == 0)).any()
+        assert (both & (kind == 1)).any()
+
+        s = xA[:, None] + xB[None, :]
+        deep = wA[:, None] * wB[None, :] * np.exp(-(s**2) * self.INV4EPS2)
+        in_band = (np.abs(s) <= self.BAND) & admitted[octA[:, None], octB[None, :]]
+        keep = in_band & (wA[:, None] >= self.SHALLOW) & (wB[None, :] >= self.SHALLOW)
+        straddle = in_band & (kind[octA[:, None], octB[None, :]] == 1)
+        # the mask both keeps and drops in-band pairs of straddling chunks
+        assert (straddle & keep).any() and (straddle & ~keep).any()
+        direct = float(np.sum(deep[keep]))
+
+        _, _, shallow = _banded_sum(
+            xA, wA, xB, wB, self.INV4EPS2, self.BAND, self.FLOOR, self.SHALLOW)
+        assert abs(shallow / direct - 1.0) < 1e-13
+        ka, kb = wA >= self.SHALLOW, wB >= self.SHALLOW
+        filtered, _, _ = _banded_sum(xA[ka], wA[ka], xB[kb], wB[kb], self.INV4EPS2,
+                                     self.BAND, self.SHALLOW * 1e-2, self.SHALLOW)
+        assert abs(shallow / filtered - 1.0) < 1e-14
+
+
+class TestOnePassPerMoment:
+    def test_call_counts(self, zeta, monkeypatch):
+        # one pair sum per moment, and one coefficient table per prime for
+        # I1 (X = 10: primes 2, 3, 5, 7; I2 needs no coefficients)
+        calls = {"pairs": 0, "coefficients": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(resonator, "_banded_sum",
+                            counting("pairs", resonator._banded_sum))
+        monkeypatch.setattr(resonator, "local_coefficients",
+                            counting("coefficients", resonator.local_coefficients))
+        moment_series(zeta, 10.0, 5000.0, 10**4)
+        assert calls == {"pairs": 2, "coefficients": 4}
 
 
 class TestMoments:
