@@ -15,7 +15,6 @@ from .errors import (
     OlxError,
     RangeError,
     ResourceError,
-    SieveBudgetError,
     UnsupportedModelError,
 )
 from .lfamily import (
@@ -79,7 +78,6 @@ __all__ = [
     "ResonatorConfig",
     "ResourceError",
     "ScanRecord",
-    "SieveBudgetError",
     "TauTable",
     "UnsupportedModelError",
     "__version__",

@@ -29,6 +29,7 @@ from .evaluate import calibrate_truncation, direct_value, euler_product_on_line
 from .lfamily import LFunctionModel, parse_model
 from .mertens import mertens_report
 from .resonator import (
+    X_MOMENTS_MAX,
     moment_quadrature,
     moment_series,
     resonance_product,
@@ -155,6 +156,8 @@ def _scan(model: LFunctionModel, args: argparse.Namespace):
     if t_min is None or t_max is None:
         if T is None:
             raise _UsageError("scan needs --t-min/--t-max or --T")
+        if not T > 0:
+            raise DomainError(f"the window [sqrt(T), T] needs T > 0, got {T}")
         t_min = math.sqrt(T) if t_min is None else t_min
         t_max = T if t_max is None else t_max
     if T is None:
@@ -203,7 +206,7 @@ _COMMANDS = {
     "moments": _Command(
         "moment integrals, series vs quadrature",
         (("--T", _num, 5000.0, "scale; sets the Gaussian width"),
-         ("--X", _num, 20.0, "weight cutoff (<= 50)"),
+         ("--X", _num, 20.0, f"weight cutoff (<= {X_MOMENTS_MAX:g})"),
          ("--n-cutoff", _int, 100_000, "series enumeration depth"),
          ("--step", _num, 0.04, "base quadrature spacing")),
         ("path", "I1", "I2", "error"),

@@ -25,11 +25,5 @@ class ResourceError(OlxError, RuntimeError):
     """A parameter exceeds a compute or memory budget."""
 
 
-class SieveBudgetError(ResourceError, DomainError):
-    """The sieve limit exceeds its budget. It exits as a ResourceError and
-    stays a DomainError, the kind sieve_primes raised for it before, so
-    callers that catch DomainError keep catching it."""
-
-
 class NumericError(OlxError, ArithmeticError):
     """A numeric computation degenerated or failed to converge."""

@@ -26,6 +26,9 @@ from .summation import LOG_FLOAT_MAX, blocked_complex_log_sum
 
 T_MAX = 100_000_000.0  # beyond it the phases t log p keep too few correct digits
 EXPANSION_DROP_MAX = 1e-13  # per unit of degree; see log_expansion
+# Each sample takes one oracle value and one product: 1000 samples at
+# Y = 1e6 took 3.8 s, so the budget bounds a run near 40 s at that Y.
+SAMPLES_MAX = 10_000
 _EXPANSION_TINY = 1e-18  # log_expansion's coefficient floor; EXPANSION_DROP_MAX holds at it
 
 
@@ -272,6 +275,8 @@ def calibrate_truncation(
     asymptotic truncation rate."""
     if sample_count < 1:
         raise DomainError("calibration needs sample_count >= 1")
+    if sample_count > SAMPLES_MAX:
+        raise ResourceError(f"calibration samples beyond the budget {SAMPLES_MAX}")
     lo, hi = float(t_range[0]), float(t_range[1])
     if not lo < hi:
         raise DomainError("t_range must satisfy t_min < t_max")

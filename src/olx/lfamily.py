@@ -24,6 +24,10 @@ from .errors import DomainError, NumericError, RangeError, ResourceError
 from .primes import character_table, primes_upto
 
 TAU_N_MAX = 20_000
+# Every per-prime kernel loops over the m roots of zeta^m, so its cost grows
+# linearly in m: zeta^100000 spent 0.6 s on mertens at x = 1e2 before its
+# overflow. Products of zeta^m overflow a float from about m = 1000 at x = 1e2.
+ZETA_POWER_MAX = 10_000
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -196,6 +200,8 @@ def make_zeta_power(m: int) -> LFunctionModel:
     """The m-th power of the Riemann zeta model: all local roots 1."""
     if m < 1:
         raise DomainError("zeta power needs m >= 1 (the pole drives everything)")
+    if m > ZETA_POWER_MAX:
+        raise ResourceError(f"zeta power beyond the budget m <= {ZETA_POWER_MAX}")
     label = "zeta" if m == 1 else f"zeta^{m}"
     return LFunctionModel(
         label=label,
@@ -214,10 +220,10 @@ def dirichlet_direct(d: int, t: float) -> complex:
     stated remainder and rounding bound is checked against that target.
     Its phase rounding grows with |t|, so the check refuses beyond about
     |t| = 8e4 for d = -4 and 5e4 for d = 5."""
+    if abs(d) > 1_000_000:  # first: the squarefree test is trial division
+        raise DomainError(f"|d| <= 1e6 required, got {d}")
     if not is_fundamental_discriminant(d):
         raise DomainError(f"{d} is not a fundamental discriminant != 1")
-    if abs(d) > 1_000_000:
-        raise DomainError(f"|d| <= 1e6 required, got {d}")
     value, bound = periodic_lseries(character_table(d), complex(1.0, float(t)))
     if bound > 1e-9:
         raise NumericError(f"character series error bound {bound:.2e} exceeds 1e-9")
@@ -273,11 +279,12 @@ def sym2_residue(P: int) -> tuple[float, float]:
     the unit-circle roots attached to tau(p); the zeta factor of the full
     degree-4 product is removed, leaving the residue.
 
-    Returns (value, tail_estimate). tail_estimate sums the quadratic-decay
-    majorant 3/((n-1)n) of the local log factors over all integers n > P;
-    the linear parts of the omitted factors carry sign cancellation that
-    has no elementary bound, so the estimate sets a reporting scale rather
-    than a guarantee.
+    Returns (value, tail_estimate). tail_estimate = P^(-1/2) is measured,
+    not proven: the omitted factors' linear parts carry sign cancellation
+    with no elementary bound, so it is set from the relative error against
+    the Petersson-norm value L(1, sym^2 Delta) = 0.6317929457278829, which
+    stays below 0.72 P^(-1/2) for every P in 2..20000 (0.39 P^(-1/2) from
+    P = 50 on).
     """
     if P < 2:
         raise DomainError("symmetric-square product needs P >= 2")
@@ -287,7 +294,7 @@ def sym2_residue(P: int) -> tuple[float, float]:
     c = 0.5 * lam_sq - 1.0
     log_terms = -np.log1p((-2.0 * c + 1.0 / pf) / pf) - np.log1p(-1.0 / pf)
     value = math.exp(float(np.sum(log_terms)))
-    return value, 3.0 / P
+    return value, 1.0 / math.sqrt(P)
 
 
 @lru_cache(maxsize=8)

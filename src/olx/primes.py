@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, SieveBudgetError
+from .errors import DomainError, ResourceError
 
 SIEVE_LIMIT_MAX = 1 << 32
 SEGMENT_SIZE = 1 << 21
@@ -58,7 +58,7 @@ def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> PrimeTable:
     if not limit >= 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > SIEVE_LIMIT_MAX:
-        raise SieveBudgetError(f"sieve limit {limit:g} exceeds the sieve budget 2^32")
+        raise ResourceError(f"sieve limit {limit:g} exceeds the sieve budget 2^32")
     limit = int(limit)
     root = math.isqrt(limit)
     base = _simple_sieve(root)

@@ -266,16 +266,27 @@ def _enumerate_half(
     return xs, ws, scale
 
 
+def _octaves(w: np.ndarray) -> np.ndarray:
+    """Weight octave min(floor(-log2 w), 60) of weights w in (0, 1]."""
+    return np.minimum(-np.log2(w), 60).astype(np.int16)
+
+
+def _shallow_mass(w: np.ndarray, o_sh: int) -> float:
+    """Total weight of the items of octave < o_sh, the items that
+    _banded_sum's shallow sub-sum counts."""
+    return float(np.sum(w[_octaves(w) < o_sh]))
+
+
 def _octave_blocks(
     x: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, w) sorted by (weight octave min(floor(-log2 w), 60), x) for
-    weights w in (0, 1], and the start offset of each octave 0..61.
+    """(x, w) sorted by (weight octave, x) for weights w in (0, 1], and
+    the start offset of each octave 0..61.
 
     Same order as np.lexsort((x, octave)) whenever x has no ties: one
     quicksort on x, then a stable radix sort on the int16 octave.
     """
-    octave = np.minimum(-np.log2(w), 60).astype(np.int16)
+    octave = _octaves(w)
     by_x = np.argsort(x)
     order = by_x[np.argsort(octave[by_x], kind="stable")]
     return x[order], w[order], np.searchsorted(octave[order], np.arange(62))
@@ -289,11 +300,11 @@ def _banded_sum(
     inv4eps2: float,
     band: float,
     pair_floor: float,
-    shallow: float,
+    o_sh: int,
 ) -> tuple[float, float, float]:
     """sum wA wB exp(-(xA+xB)^2 * inv4eps2) over pairs with |xA+xB| <= band
     and wA*wB >= pair_floor, via weight-octave buckets and sorted windows,
-    together with its sub-sum over the items of weight >= shallow.
+    together with its sub-sum over the items of weight octave < o_sh.
 
     Both sides are bucketed by weight octave and sorted by x inside each
     bucket. An octave pair (oa, ob) is admitted when 2^-(oa+ob) reaches
@@ -303,13 +314,12 @@ def _banded_sum(
     in A and B, so the evaluated pair set does not depend on which side
     searches (up to rounding at the band edge, where g <= 1e-18).
 
-    The shallow sub-sum covers the in-band pairs with both weights >=
-    shallow in the octave pairs admitted at shallow * 1e-2 (which must
-    not undercut pair_floor): the pair set of the same sum over only the
-    items of weight >= shallow with that floor. It reuses each chunk's
-    terms. A chunk of two buckets wholly at or above the cut adds its
-    chunk sum, one with a bucket wholly below adds nothing, and only the
-    chunks of a bucket that straddles the cut are masked.
+    The shallow sub-sum cuts on the octave boundary 2^-o_sh: it covers
+    the in-band pairs of the octave pairs with oa < o_sh and ob < o_sh
+    admitted at 2^-o_sh * 1e-2 (which must not undercut pair_floor), the
+    pair set of the same sum over only the items of octave < o_sh with
+    that floor. Every bucket lies wholly on one side of the cut, so such
+    an octave pair adds its chunk sums to the shallow total as they are.
 
     Returns (sum, floor_mass_bound, shallow_sum), where the second term
     bounds the mass skipped by the pair floor (octave pair count times
@@ -317,18 +327,6 @@ def _banded_sum(
     """
     xA_s, wA_s, a_starts = _octave_blocks(xA, wA)
     xB_s, wB_s, b_starts = _octave_blocks(xB, wB)
-
-    def cut_sides(w: np.ndarray, starts: np.ndarray) -> list[int]:
-        """Per octave: 2 if every weight is >= shallow, 0 if none is (or
-        the bucket is empty), 1 if the bucket straddles the cut."""
-        out = []
-        for o in range(61):
-            seg = w[starts[o] : starts[o + 1]]
-            out.append(0 if not len(seg) or seg.max() < shallow else
-                       2 if seg.min() >= shallow else 1)
-        return out
-
-    a_cut, b_cut = cut_sides(wA_s, a_starts), cut_sides(wB_s, b_starts)
     total = 0.0
     skipped = 0.0
     total_sh = 0.0
@@ -345,8 +343,7 @@ def _banded_sum(
             if pair_w < pair_floor:
                 skipped += pair_w * int(min(a_hi - a_lo, b_hi - b_lo))
                 continue
-            # 2: every pair is shallow, 0: none is, 1: mask each chunk
-            cut = min(a_cut[oa], b_cut[ob]) if pair_w >= shallow * 1e-2 else 0
+            shallow = oa < o_sh and ob < o_sh and pair_w >= 2.0**-o_sh * 1e-2
             a = xA_s[a_lo:a_hi], wA_s[a_lo:a_hi]
             b = xB_s[b_lo:b_hi], wB_s[b_lo:b_hi]
             (sx, sw), (lx, lw) = (a, b) if a_hi - a_lo <= b_hi - b_lo else (b, a)
@@ -367,11 +364,8 @@ def _banded_sum(
                 terms *= np.repeat(sw[pos:end], L) * lw[flat]
                 part = float(np.sum(terms))
                 total += part
-                if cut == 2:
+                if shallow:
                     total_sh += part
-                elif cut:
-                    terms[(lw < shallow)[flat] | np.repeat(sw[pos:end] < shallow, L)] = 0.0
-                    total_sh += float(np.sum(terms))
                 pos = end
     return total, skipped, total_sh
 
@@ -384,11 +378,13 @@ def _series_sum(
 
     S = sum over offset vectors f of prod_i w_i(f_i) * exp(-(sum f_i log p_i)^2
     / (4 eps^2)). The allowance is formed here: the out-of-band Gaussian and
-    pair-floor masses, twice the depth gap to the items of weight >= 100 delta
-    (the pair sum's shallow sub-sum, so both cuts share one split into
-    halves and one pass over the in-band pairs), and the weight the floor
-    dropped (closed-form total minus the enumerated mass) times 4 times the
-    rate at which the mass between the two cuts entered the Gaussian band.
+    pair-floor masses, twice the depth gap to the items above the octave
+    boundary 2^-o_sh, the first at or below 100 delta (the pair sum's
+    shallow sub-sum, so both cuts share one split into halves and one pass
+    over the in-band pairs), and the weight the floor dropped (closed-form
+    total minus the enumerated mass) times 4 times the rate at which the
+    mass between the two cuts entered the Gaussian band. The shallow mass
+    counts the items by the same octaves as the pair sum.
     """
     tabs = []
     total = 1.0
@@ -409,11 +405,11 @@ def _series_sum(
     g_tol = 1e-18
     band = 2.0 * eps * math.sqrt(math.log(1.0 / g_tol))
     inv4eps2 = 1.0 / (4.0 * eps * eps)
-    shallow = delta * 100.0  # always two decades shallower than delta
-    s, skipped, s_sh = _banded_sum(xA, wA, xB, wB, inv4eps2, band, delta * 1e-2, shallow)
+    o_sh = math.ceil(math.log2(1.0 / (100.0 * delta)))  # 2^-o_sh <= 100 delta
+    s, skipped, s_sh = _banded_sum(xA, wA, xB, wB, inv4eps2, band, delta * 1e-2, o_sh)
     mass = float(np.sum(wA)) * float(np.sum(wB)) * scale
     gap = abs(s * scale - s_sh * scale)
-    mass_sh = float(np.sum(wA[wA >= shallow])) * float(np.sum(wB[wB >= shallow])) * scale
+    mass_sh = _shallow_mass(wA, o_sh) * _shallow_mass(wB, o_sh) * scale
     marginal = mass - mass_sh
     rate = gap / marginal if marginal > 0 else 0.0
     dropped = max(0.0, total - mass) * 4.0 * rate
@@ -433,7 +429,8 @@ def moment_series(
     a weight floor derived from n_cutoff (floor = n_cutoff^-2, clamped).
     Each moment is one `_series_sum` call, which forms its own allowance
     from one pair sum (out-of-band and pair-floor mass, the depth gap to a
-    cut two decades shallower, read from the same pair sum, and the
+    shallower cut on the weight-octave boundary 2^-o_sh, o_sh =
+    ceil(log2(1/(100 floor))), read from the same pair sum, and the
     dropped mass scaled by the measured band-entry rate); truncation_bound
     is sqrt(pi)/eps times their sum. It grows, and never silently, when
     n_cutoff is too small for the requested accuracy. Costs rise steeply
@@ -481,8 +478,9 @@ def _integrand_sums(
             p = int(p)
             q = q_of_prime(p, X)
             ph = t * math.log(p)
-            z = np.cos(ph) + 1j * np.sin(ph)
-            r2 /= 1.0 - 2.0 * q * np.cos(ph) + q * q
+            cos_ph = np.cos(ph)
+            z = cos_ph + 1j * np.sin(ph)
+            r2 /= 1.0 - 2.0 * q * cos_ph + q * q
             w = np.conj(z) / p
             for j in range(real.shape[1]):
                 f_val /= 1.0 - real[i, j] * w

@@ -29,6 +29,10 @@ from .resonator import asymptotic_bound
 
 POINTS_MAX = 1 << 28
 CANDIDATES_PER_RECORD = 64  # standalone products a scan may spend per record
+# A scan may spend 64 standalone products per record, and one of no more
+# grid points than top_k spends one per point: 10,001 products at Y = 1e5
+# took 3.0 s, so the budget's 64,000 would take about 19 s there.
+TOP_K_MAX = 1000
 # Points per exp_sum_on_grid call, whose real transform has 2 * _CHUNK cells.
 # One irfft measured 23, 26, 29 and 37 ns per cell at 2^19, 2^20, 2^21 and
 # 2^22 cells on a 2-core Xeon (numpy 2.4); a whole 2-thread zeta scan of 2e7
@@ -123,6 +127,8 @@ def grid_scan(
     t_min, t_max, step, Y = float(t_min), float(t_max), float(step), float(Y)
     if top_k < 1:
         raise DomainError("top_k must be >= 1")
+    if top_k > TOP_K_MAX:
+        raise ResourceError(f"top_k beyond the budget {TOP_K_MAX}")
     t_abs = max(abs(t_min), abs(t_max))
     if t_abs > T_MAX:
         raise ResourceError(f"scan window beyond |t| = {T_MAX:g} (phase precision budget)")

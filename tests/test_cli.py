@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,22 @@ def test_bad_input_is_one_error_line(argv, want, reason, capsys, tmp_path):
     assert re.fullmatch(r"error: \w+: [^\n]+\n", err)
     if reason is not None:
         assert err.startswith(f"error: numeric: {reason} (log ")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["scan", "--t-min", "10", "--t-max", "510", "--step", "0.05", "--Y", "1e5",
+      "--top-k", "100000"], "top_k beyond the budget 1000"),
+    (["scan", "--t-min", "10", "--t-max", "2e7", "--step", "1", "--top-k", "1e300"],
+     "top_k beyond the budget 1000"),
+    (["calibrate", "--samples", "1e300"], "calibration samples beyond the budget 10000"),
+    (["mertens", "--model", "zeta^1000000000", "--x", "1e2"],
+     "zeta power beyond the budget m <= 10000"),
+], ids=["scan-top-k", "scan-top-k-1e300", "calibrate-samples", "zeta-power"])
+def test_size_budget_refuses_before_any_work(argv, reason, capsys):
+    start = time.perf_counter()
+    code, out, err = run_capture(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (3, "", f"error: resource: {reason}\n")
 
 
 def test_moments_budget_refuses_before_the_series(capsys, monkeypatch):

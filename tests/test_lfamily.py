@@ -21,6 +21,9 @@ from olx.lfamily import (
 from olx.primes import character_table, kronecker, sieve_primes
 
 SYM2_AT_1E4 = 0.63262221105274552  # regression pin from the first oracle run
+# L(1, sym^2 Delta) = <Delta, Delta> 2^23 pi^13 / 11! with the published
+# Petersson norm <Delta, Delta> = 1.035362056804320922347e-6
+SYM2_PETERSSON = 0.6317929457278829
 
 
 def roots_at(model, p):
@@ -255,6 +258,13 @@ class TestSym2Residue:
     def test_tail_estimate_decreasing(self):
         tails = [sym2_residue(P)[1] for P in (100, 1000, 10**4)]
         assert tails[0] > tails[1] > tails[2]
+
+    def test_tail_estimate_covers_petersson_value(self):
+        assert SYM2_PETERSSON == pytest.approx(
+            1.035362056804320922347e-6 * 2**23 * math.pi**13 / math.factorial(11), rel=1e-15)
+        for P in [*range(50, 1001, 50), *range(1250, 20001, 250)]:
+            value, tail = sym2_residue(P)
+            assert abs(value / SYM2_PETERSSON - 1) <= tail, P
 
     def test_small_p_rejected(self):
         with pytest.raises(DomainError):

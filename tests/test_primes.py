@@ -45,10 +45,6 @@ class TestSieve:
         with pytest.raises(DomainError):
             sieve_primes(1)
 
-    def test_limit_too_large(self):
-        with pytest.raises(DomainError):
-            sieve_primes(2**32 + 1)
-
     def test_against_trial_division(self):
         assert sieve_primes(10_000).primes.tolist() == trial_division_primes(10_000)
 

@@ -140,7 +140,7 @@ class TestBandedSum:
     BAND = 0.05
     INV4EPS2 = math.log(1e18) / BAND**2  # g = 1e-18 at the band edge
     FLOOR = 1e-9  # cuts octave pairs with oa + ob >= 30
-    SHALLOW = 2.0**-10.5  # inside octave 10; admits octave pairs with oa + ob <= 17
+    SHALLOW = 11  # cut octave: items above 2^-11; admits octave pairs with oa + ob <= 17
 
     @staticmethod
     def items(rng, n):
@@ -185,44 +185,45 @@ class TestBandedSum:
         rng = np.random.default_rng(20190)  # the seeded case above
         xA, wA = self.items(rng, 400)
         xB, wB = self.items(rng, 250)
-        octA = np.minimum(np.floor(-np.log2(wA)), 60).astype(int)
+        # items on the cut 2^-SHALLOW and one ulp to each side of it, each in
+        # band with an item of octave < 4 (a pair the shallow floor admits)
+        edge = 2.0**-self.SHALLOW
+        on_cut = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)])
         octB = np.minimum(np.floor(-np.log2(wB)), 60).astype(int)
-
-        def side(w, octs):
-            # per octave: 2 all >= SHALLOW, 1 straddling, 0 none (or empty)
-            return np.array([0 if not (octs == o).any() or w[octs == o].max() < self.SHALLOW
-                             else 2 if w[octs == o].min() >= self.SHALLOW else 1
-                             for o in range(61)])
-
-        sA, sB = side(wA, octA), side(wB, octB)
+        xA = np.concatenate([xA, 0.01 - xB[octB < 4][:3]])
+        wA = np.concatenate([wA, on_cut])
+        octA = np.minimum(np.floor(-np.log2(wA)), 60).astype(int)
         nA = np.bincount(octA, minlength=61)
         nB = np.bincount(octB, minlength=61)
         o = np.arange(61)
-        admitted = 2.0 ** -(o[:, None] + o[None, :]) >= self.SHALLOW * 1e-2
+        admitted = 2.0 ** -(o[:, None] + o[None, :]) >= edge * 1e-2
+        above = (o[:, None] < self.SHALLOW) & (o[None, :] < self.SHALLOW)
         both = admitted & (nA[:, None] > 0) & (nB[None, :] > 0)
-        kind = np.minimum(sA[:, None], sB[None, :])
-        # octave pairs (one chunk each at these sizes) wholly above the
-        # cut, wholly below it on one side, and straddling it all occur
-        assert (both & (kind == 2)).any()
-        assert (both & (kind == 0)).any()
-        assert (both & (kind == 1)).any()
+        # admitted octave pairs wholly above the cut and with a side below it
+        assert (both & above).any() and (both & ~above).any()
 
         s = xA[:, None] + xB[None, :]
         deep = wA[:, None] * wB[None, :] * np.exp(-(s**2) * self.INV4EPS2)
         in_band = (np.abs(s) <= self.BAND) & admitted[octA[:, None], octB[None, :]]
-        keep = in_band & (wA[:, None] >= self.SHALLOW) & (wB[None, :] >= self.SHALLOW)
-        straddle = in_band & (kind[octA[:, None], octB[None, :]] == 1)
-        # the mask both keeps and drops in-band pairs of straddling chunks
-        assert (straddle & keep).any() and (straddle & ~keep).any()
+        keep = in_band & above[octA[:, None], octB[None, :]]
+        assert (in_band[-3:] & (octB < 4)[None, :]).any(axis=1).all()
         direct = float(np.sum(deep[keep]))
 
         _, _, shallow = _banded_sum(
             xA, wA, xB, wB, self.INV4EPS2, self.BAND, self.FLOOR, self.SHALLOW)
         assert abs(shallow / direct - 1.0) < 1e-13
-        ka, kb = wA >= self.SHALLOW, wB >= self.SHALLOW
+        ka, kb = octA < self.SHALLOW, octB < self.SHALLOW
         filtered, _, _ = _banded_sum(xA[ka], wA[ka], xB[kb], wB[kb], self.INV4EPS2,
-                                     self.BAND, self.SHALLOW * 1e-2, self.SHALLOW)
+                                     self.BAND, edge * 1e-2, self.SHALLOW)
         assert abs(shallow / filtered - 1.0) < 1e-14
+
+        # the pair sum and the shallow mass of _series_sum class each item
+        # on the cut, and a control above it, the same way
+        for w in (*on_cut, 2.0 ** -(self.SHALLOW - 0.5)):
+            _, _, pair = _banded_sum(np.zeros(1), np.array([w]), np.zeros(1), np.ones(1),
+                                     self.INV4EPS2, self.BAND, self.FLOOR, self.SHALLOW)
+            assert pair in (0.0, w)
+            assert resonator._shallow_mass(np.array([w]), self.SHALLOW) == pair
 
 
 class TestOnePassPerMoment:
