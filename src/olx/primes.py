@@ -138,8 +138,18 @@ def character_table(d: int) -> np.ndarray:
     q = abs(d)
     if q < 2:
         raise DomainError("character table needs |d| >= 2")
-    table = np.zeros(q, dtype=np.int8)
-    for r in range(1, q):
-        table[r] = kronecker(d, r)
+    # chi_d is completely multiplicative: each prime power p^j < q flips or
+    # zeroes its multiples by chi_d(p), one kronecker call per prime
+    table = np.ones(q, dtype=np.int8)
+    table[0] = 0
+    for p in sieve_primes(q).primes.tolist():
+        chi_p = kronecker(d, p)
+        if chi_p == 0:
+            table[p::p] = 0
+        elif chi_p < 0:
+            pj = p
+            while pj < q:
+                table[pj::pj] *= -1
+                pj *= p
     table.setflags(write=False)
     return table

@@ -34,10 +34,15 @@ CANDIDATES_PER_RECORD = 64  # standalone products a scan may spend per record
 # took 3.0 s, so the budget's 64,000 would take about 19 s there.
 TOP_K_MAX = 1000
 # Points per exp_sum_on_grid call, whose real transform has 2 * _CHUNK cells.
-# One irfft measured 23, 26, 29 and 37 ns per cell at 2^19, 2^20, 2^21 and
-# 2^22 cells on a 2-core Xeon (numpy 2.4); a whole 2-thread zeta scan of 2e7
-# points took 1.0-1.1 s at 2^19 points, 0.9-1.2 s at 2^20, 1.2-2.0 s at 2^21.
-_CHUNK = 1 << 20
+# The README zeta scan (2e7 points), in-process medians of 5 on a 2-core Xeon
+# (numpy 2.4), with peak RSS:
+#   chunk   1 thread          2 threads
+#   2^18    1.32 s,  58 MB    0.73 s,  78 MB
+#   2^19    1.08 s,  80 MB    0.61 s, 116 MB
+#   2^20    1.04 s, 124 MB    0.57 s, 192 MB
+# Each chunk pays a fixed 8 ms of spreading and set-up, which sinks 2^18;
+# 2^19 comes within 6% of 2^20 at half the memory per worker.
+_CHUNK = 1 << 19
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from olx.errors import DomainError, ResourceError
+from olx.lfamily import is_fundamental_discriminant
 from olx.primes import (
     SEGMENT_SIZE,
     SIEVE_LIMIT_MAX,
@@ -162,3 +163,18 @@ class TestCharacterTable:
     def test_rejects_units(self):
         with pytest.raises(DomainError):
             character_table(1)
+
+    def test_every_residue_against_symbol(self):
+        # the table is filled from chi_d at the primes; kronecker is the oracle
+        for d in range(-1000, 1001):
+            if d != 1 and is_fundamental_discriminant(d):
+                table = character_table(d)
+                assert table.dtype == np.int8 and not table.flags.writeable
+                assert table.tolist() == [0] + [kronecker(d, r) for r in range(1, abs(d))], d
+
+    def test_largest_discriminant_at_seeded_residues(self):
+        d = -999995
+        table = character_table(d)
+        assert character_table(d) is table and not table.flags.writeable
+        residues = np.random.default_rng(7).integers(1, abs(d), 10_000).tolist()
+        assert [int(table[r]) for r in residues] == [kronecker(d, r) for r in residues]

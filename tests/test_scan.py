@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -96,6 +99,71 @@ class TestExpSum:
         j = np.arange(512)
         exact = np.exp(-1j * j * 1.97)
         assert np.abs(vals - exact).max() < 2e-9
+
+    def test_spreading_across_the_grid_edges(self):
+        # n = 512 spreads on nf = 1024 cells; terms placed within _HALF_WIDTH
+        # cells of 0, nf/2 and nf, exactly at 0 and nf/2, and at the largest
+        # float below nf, fold their taps across the ends of the half grid
+        n, nf = 512, 1024
+        scale = nf / (2.0 * math.pi)  # with step 1, a term sits at mod(omega, 2 pi) * scale
+        near = [0.25, 1.0, 6.5, 12.9, 13.0, nf / 2 - 13, nf / 2 - 0.3, nf / 2 + 0.7,
+                nf / 2 + 12.5, nf - 13.2, nf - 1.0]
+        exact = [0.0, math.pi, np.nextafter(2.0 * math.pi, 0.0)]
+        assert [np.mod(w, 2.0 * math.pi) * scale for w in exact] == [0.0, nf / 2,
+                                                                     np.nextafter(nf, 0.0)]
+        omega = np.array([x / scale for x in near] + exact)
+        xs = near + ["0", "nf/2", "below nf"]
+        coeff = np.random.default_rng(3).uniform(-1.0, 1.0, len(xs))
+        for t0 in (0.0, 37.5, -1e4):
+            t_abs = max(abs(t0), abs(t0 + n - 1))
+            for k in range(len(xs)):
+                one = exp_sum_on_grid(coeff[k:k + 1], omega[k:k + 1], t0, 1.0, n)
+                direct = _direct_log_re(coeff[k:k + 1], omega[k:k + 1], t0, 1.0, n)
+                assert np.abs(one - direct).max() <= error_bound(coeff[k:k + 1], omega[k:k + 1],
+                                                                 t_abs, n), xs[k]
+            fast = exp_sum_on_grid(coeff, omega, t0, 1.0, n)
+            direct = _direct_log_re(coeff, omega, t0, 1.0, n)
+            assert np.abs(fast - direct).max() <= error_bound(coeff, omega, t_abs, n)
+
+    def test_reused_buffers_leave_results_alone(self):
+        rng = np.random.default_rng(8)
+        omega = rng.uniform(0.5, 30.0, 300)
+        coeff = rng.uniform(-1.0, 1.0, 300) / omega
+        first = exp_sum_on_grid(coeff, omega, 100.0, 0.05, 4096)
+        kept = first.copy()
+        second = exp_sum_on_grid(coeff, omega, 300.0, 0.05, 4096)
+        assert second is not first and not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        # a call on another grid size in between changes nothing after it
+        exp_sum_on_grid(coeff, omega, 0.0, 0.05, 100)
+        again = exp_sum_on_grid(coeff, omega, 300.0, 0.05, 4096)
+        script = ("import sys, numpy as np; from olx.expsum import exp_sum_on_grid; "
+                  "rng = np.random.default_rng(8); omega = rng.uniform(0.5, 30.0, 300); "
+                  "coeff = rng.uniform(-1.0, 1.0, 300) / omega; "
+                  "sys.stdout.write(exp_sum_on_grid(coeff, omega, 300.0, 0.05, 4096).tobytes().hex())")
+        fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               check=True, timeout=60).stdout
+        assert again.tobytes().hex() == fresh == second.tobytes().hex()
+
+    def test_concurrent_calls_match_serial_calls(self):
+        # more threads than cores, with frequent switches between them; every
+        # job spreads on the same 2^16-cell grid, so a buffer shared between
+        # threads would be overwritten while in use
+        rng = np.random.default_rng(9)
+        omega = rng.uniform(0.5, 30.0, 2000)
+        coeff = rng.uniform(-1.0, 1.0, 2000) / omega
+        jobs = [(50.0 * i, 0.05, (32768, 20000)[i % 2]) for i in range(24)]
+        serial = [exp_sum_on_grid(coeff, omega, *job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(exp_sum_on_grid, coeff, omega, *job) for job in jobs]
+                concurrent = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, concurrent):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestGridScan:
