@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -32,10 +33,11 @@ from .resonator import (
     X_MOMENTS_MAX,
     moment_quadrature,
     moment_series,
+    quadrature_intervals,
     resonance_product,
     resonance_products_at_cutoff,
 )
-from .scan import bound_report, env_threads, grid_scan, refine_peak
+from .scan import bound_report, env_threads, grid_scan, refine_peak, worker_cap
 
 
 class _UsageError(Exception):
@@ -96,9 +98,22 @@ def _resonance(model: LFunctionModel, args: argparse.Namespace):
 
 
 def _moments(model: LFunctionModel, args: argparse.Namespace):
-    # quadrature first: its node budget refuses a run before the series is spent
-    quad = moment_quadrature(model, args.X, args.T, args.step)
-    ser = moment_series(model, args.X, args.T, args.n_cutoff)
+    quad_args = (model, args.X, args.T, args.step)
+    # the quadrature's node budget refuses a run before the series is spent
+    quadrature_intervals(*quad_args)
+    if worker_cap() > 1:
+        # the two paths share no data, so the quadrature runs on a worker
+        # while this thread sums the series; reading its result in `finally`
+        # reports its error over the series' one, as the serial order does
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pending = pool.submit(moment_quadrature, *quad_args)
+            try:
+                ser = moment_series(model, args.X, args.T, args.n_cutoff)
+            finally:
+                quad = pending.result()
+    else:
+        quad = moment_quadrature(*quad_args)
+        ser = moment_series(model, args.X, args.T, args.n_cutoff)
     res, _, _ = resonance_products_at_cutoff(model, args.X)
     params = {"T": args.T, "X": args.X, "n_cutoff": args.n_cutoff, "step": args.step}
     data = {

@@ -30,6 +30,7 @@ _E_TO_E = math.exp(math.e)
 
 X_MOMENTS_MAX = 50.0  # weight cutoff of both moment-integral paths
 _ENUM_MAX_ITEMS = 12_000_000  # per half of the moment-series enumeration
+_ENUM_BLOCK = 1 << 16  # cells per row block of an enumeration outer product
 QUAD_NODES_MAX = 1 << 25  # integrand nodes of moment_quadrature's one sweep
 _GAUSS_CUT = 6.1  # quadrature range |t| <= 6.1/eps; the Gaussian is below 1e-16 beyond
 
@@ -239,7 +240,10 @@ def _enumerate_half(
 
     Returns (x, w_normalized, scale): true weight = w_normalized * scale.
     Primes are crossed in the given order; callers pass wide tables first
-    so intermediate arrays stay small.
+    so intermediate arrays stay small. Each prime's outer product is built
+    and filtered in row blocks of about _ENUM_BLOCK cells, concatenated in
+    row order, so the unfiltered product is never held whole and the item
+    budget refuses as soon as the kept count passes it.
     """
     xs = np.zeros(1)
     ws = np.ones(1)
@@ -253,16 +257,22 @@ def _enumerate_half(
         keep_f = tnorm >= delta  # a single factor below delta can never recover
         tnorm = tnorm[keep_f]
         offs = offs[keep_f]
-        new_x = (xs[:, None] + offs[None, :]).ravel()
-        new_w = (ws[:, None] * tnorm[None, :]).ravel()
-        keep = new_w >= delta
-        xs = new_x[keep]
-        ws = new_w[keep]
-        if len(xs) > _ENUM_MAX_ITEMS:
-            raise ResourceError(
-                f"moment-series enumeration exceeded {_ENUM_MAX_ITEMS} items; "
-                "lower n_cutoff or X"
-            )
+        rows = max(1, _ENUM_BLOCK // len(tnorm))
+        parts_x, parts_w, kept = [], [], 0
+        for lo in range(0, len(xs), rows):
+            new_w = (ws[lo : lo + rows, None] * tnorm[None, :]).ravel()
+            keep = new_w >= delta
+            kept += int(np.count_nonzero(keep))
+            if kept > _ENUM_MAX_ITEMS:
+                raise ResourceError(
+                    f"moment-series enumeration exceeded {_ENUM_MAX_ITEMS} items; "
+                    "lower n_cutoff or X"
+                )
+            parts_w.append(new_w[keep])
+            parts_x.append((xs[lo : lo + rows, None] + offs[None, :]).ravel()[keep])
+        xs = np.concatenate(parts_x)
+        del parts_x  # one array's parts at a time beside the joined arrays
+        ws = np.concatenate(parts_w)
     return xs, ws, scale
 
 
@@ -284,19 +294,21 @@ def _octave_blocks(
     the start offset of each octave 0..61.
 
     Same order as np.lexsort((x, octave)) whenever x has no ties: one
-    quicksort on x, then a stable radix sort on the int16 octave.
+    quicksort on x, then a stable radix sort on the int16 octave. The
+    permutation by x and the octaves are freed before x and w are gathered.
     """
     octave = _octaves(w)
     by_x = np.argsort(x)
     order = by_x[np.argsort(octave[by_x], kind="stable")]
-    return x[order], w[order], np.searchsorted(octave[order], np.arange(62))
+    del by_x
+    starts = np.searchsorted(octave[order], np.arange(62))
+    del octave
+    return x[order], w[order], starts
 
 
 def _banded_sum(
-    xA: np.ndarray,
-    wA: np.ndarray,
-    xB: np.ndarray,
-    wB: np.ndarray,
+    blocks_a: tuple[np.ndarray, np.ndarray, np.ndarray],
+    blocks_b: tuple[np.ndarray, np.ndarray, np.ndarray],
     inv4eps2: float,
     band: float,
     pair_floor: float,
@@ -306,11 +318,12 @@ def _banded_sum(
     and wA*wB >= pair_floor, via weight-octave buckets and sorted windows,
     together with its sub-sum over the items of weight octave < o_sh.
 
-    Both sides are bucketed by weight octave and sorted by x inside each
-    bucket. An octave pair (oa, ob) is admitted when 2^-(oa+ob) reaches
-    the pair floor; for each admitted pair the items of the smaller
-    bucket search their band windows in the larger one, so search and
-    window expansion scale with the smaller side. The sum is symmetric
+    Each side comes as _octave_blocks(x, w): bucketed by weight octave
+    and sorted by x inside each bucket. An octave pair (oa, ob) is
+    admitted when 2^-(oa+ob) reaches the pair floor; for each admitted
+    pair the items of the smaller bucket search their band windows in the
+    larger one, so search and window expansion scale with the smaller
+    side. The sum is symmetric
     in A and B, so the evaluated pair set does not depend on which side
     searches (up to rounding at the band edge, where g <= 1e-18).
 
@@ -325,8 +338,8 @@ def _banded_sum(
     bounds the mass skipped by the pair floor (octave pair count times
     floor).
     """
-    xA_s, wA_s, a_starts = _octave_blocks(xA, wA)
-    xB_s, wB_s, b_starts = _octave_blocks(xB, wB)
+    xA_s, wA_s, a_starts = blocks_a
+    xB_s, wB_s, b_starts = blocks_b
     total = 0.0
     skipped = 0.0
     total_sh = 0.0
@@ -384,7 +397,9 @@ def _series_sum(
     over the in-band pairs), and the weight the floor dropped (closed-form
     total minus the enumerated mass) times 4 times the rate at which the
     mass between the two cuts entered the Gaussian band. The shallow mass
-    counts the items by the same octaves as the pair sum.
+    counts the items by the same octaves as the pair sum. Each half's
+    masses are summed before it is sorted into octave blocks, and only the
+    sorted copies stay alive through the pair sum.
     """
     tabs = []
     total = 1.0
@@ -400,16 +415,23 @@ def _series_sum(
         k = 0 if sizes[0] <= sizes[1] else 1
         halves[k].append((logp, table))
         sizes[k] += math.log(len(table))
-    (xA, wA, scale_a), (xB, wB, scale_b) = (_enumerate_half(h, delta) for h in halves)
-    scale = scale_a * scale_b
+    o_sh = math.ceil(math.log2(1.0 / (100.0 * delta)))  # 2^-o_sh <= 100 delta
+    blocks, masses, masses_sh, scales = [], [], [], []
+    for h in halves:
+        x, w, half_scale = _enumerate_half(h, delta)
+        masses.append(float(np.sum(w)))
+        masses_sh.append(_shallow_mass(w, o_sh))
+        scales.append(half_scale)
+        blocks.append(_octave_blocks(x, w))
+        del x, w
+    scale = scales[0] * scales[1]
     g_tol = 1e-18
     band = 2.0 * eps * math.sqrt(math.log(1.0 / g_tol))
     inv4eps2 = 1.0 / (4.0 * eps * eps)
-    o_sh = math.ceil(math.log2(1.0 / (100.0 * delta)))  # 2^-o_sh <= 100 delta
-    s, skipped, s_sh = _banded_sum(xA, wA, xB, wB, inv4eps2, band, delta * 1e-2, o_sh)
-    mass = float(np.sum(wA)) * float(np.sum(wB)) * scale
+    s, skipped, s_sh = _banded_sum(*blocks, inv4eps2, band, delta * 1e-2, o_sh)
+    mass = masses[0] * masses[1] * scale
     gap = abs(s * scale - s_sh * scale)
-    mass_sh = _shallow_mass(wA, o_sh) * _shallow_mass(wB, o_sh) * scale
+    mass_sh = masses_sh[0] * masses_sh[1] * scale
     marginal = mass - mass_sh
     rate = gap / marginal if marginal > 0 else 0.0
     dropped = max(0.0, total - mass) * 4.0 * rate
@@ -435,11 +457,12 @@ def moment_series(
     is sqrt(pi)/eps times their sum. It grows, and never silently, when
     n_cutoff is too small for the requested accuracy. Costs rise steeply
     with X (weights approach 1); X <= 50 is the supported range. Measured
-    for zeta at T = 5000 on a 2-core Xeon VM: n_cutoff 1e5 takes about
-    1.1 s at X = 18, 5 s at X = 20 and 15 s at X = 22; at X = 30,
-    n_cutoff 1e4 exceeds the 12M-item enumeration budget (ResourceError)
-    and n_cutoff 1e3 takes about 150 s and 1.3 GB for truncation_bound/I2
-    = 0.63.
+    for zeta at T = 5000 on a 2-core Xeon VM (numpy 2.4), one process per
+    run, with its peak RSS: n_cutoff 1e5 takes about 1.1 s and 84 MB at
+    X = 18, 5 s and 175 MB at X = 20 and 17 s and 330 MB at X = 22; at
+    X = 30, n_cutoff 1e4 exceeds the 12M-item enumeration budget
+    (ResourceError after 1.0 s and 357 MB) and n_cutoff 1e3 takes about
+    150 s and 0.8 GB for truncation_bound/I2 = 0.45.
     """
     if X > X_MOMENTS_MAX:
         raise DomainError(f"moment integrals support X <= {X_MOMENTS_MAX}, got {X}")
@@ -496,21 +519,55 @@ def _simpson_levels(
 ) -> list[tuple[float, float, float]]:
     """Composite-Simpson (Re I1, Im I1, I2) on [-t_max, t_max] with n, 2n
     and 4n intervals, from one integrand sweep over the 4n + 1 nodes of the
-    finest grid: each level reads every 4th, 2nd or 1st node."""
+    finest grid: each level reads every 4th, 2nd or 1st node. The sweep
+    fills one (3, chunk) array per chunk from blocks of 2^15 nodes, so the
+    integrand's temporaries stay small; each level takes one dot product
+    per chunk."""
     strides = (4, 2, 1)
     h = 2.0 * t_max / (4 * n)
     sums = [[0.0] * 3 for _ in strides]
-    chunk = 1 << 19  # a multiple of 4: every chunk starts on a node of every level
+    chunk = 1 << 19  # a multiple of 8: every chunk starts on an even node of every level
+    block = 1 << 15
     for lo in range(0, 4 * n + 1, chunk):
-        idx = np.arange(lo, min(lo + chunk, 4 * n + 1))
-        vals = _integrand_sums(model, X, eps, -t_max + idx * h)
+        hi = min(lo + chunk, 4 * n + 1)
+        vals = np.empty((3, hi - lo))
+        for b in range(lo, hi, block):
+            t = -t_max + np.arange(b, min(b + block, hi)) * h
+            vals[:, b - lo : b - lo + len(t)] = _integrand_sums(model, X, eps, t)
         for level, stride in zip(sums, strides):
-            j = idx[::stride] // stride
-            w = np.where(j % 2 == 1, 4.0, 2.0)
-            w[(j == 0) | (j == 4 * n // stride)] = 1.0
+            # the level's nodes here are j = lo/stride, ..., and lo/stride is
+            # even: weight 4 on odd j, 2 on even j, 1 on the grid's two ends
+            w = np.full((hi - 1) // stride - lo // stride + 1, 2.0)
+            w[1::2] = 4.0
+            if lo == 0:
+                w[0] = 1.0
+            if hi == 4 * n + 1:
+                w[-1] = 1.0
             for c, v in enumerate(vals):
                 level[c] += float(np.dot(w, v[::stride]))
     return [tuple(s * k * h / 3.0 for s in level) for level, k in zip(sums, strides)]
+
+
+def quadrature_intervals(
+    model: LFunctionModel, X: float, T: float, step: float
+) -> int:
+    """The coarsest interval count n of moment_quadrature after its input
+    checks; ResourceError when the sweep's 4n + 1 nodes exceed
+    QUAD_NODES_MAX. Cheap, so a caller can refuse a run before other work."""
+    if step <= 0:
+        raise DomainError("quadrature step must be positive")
+    if X > X_MOMENTS_MAX:
+        raise DomainError(f"moment integrals support X <= {X_MOMENTS_MAX}, got {X}")
+    model.check_cutoff(X)
+    half = _GAUSS_CUT / resonator_config(T).eps / step
+    # half stays a float past the budget, so no step overflows ceil
+    n = max(8, 2 * math.ceil(half)) if half <= QUAD_NODES_MAX else 2.0 * half
+    if not 4 * n + 1 <= QUAD_NODES_MAX:
+        raise ResourceError(
+            f"quadrature needs {4 * n + 1:.3g} nodes, beyond the budget "
+            f"{QUAD_NODES_MAX}; raise step or lower T"
+        )
+    return n
 
 
 def moment_quadrature(
@@ -525,24 +582,14 @@ def moment_quadrature(
     resolving the integrand and the failure is raised, not smoothed over.
 
     The sweep takes 8 (6.1/eps)/step nodes to within 9 (7.2e5 at the
-    defaults T = 5000, step 0.04). Above QUAD_NODES_MAX = 2^25, about 20 s
-    at the 0.55-0.75 us per node measured at X = 18 on a 2-core Xeon VM,
-    ResourceError is raised before any integrand work."""
-    if step <= 0:
-        raise DomainError("quadrature step must be positive")
-    if X > X_MOMENTS_MAX:
-        raise DomainError(f"moment integrals support X <= {X_MOMENTS_MAX}, got {X}")
-    model.check_cutoff(X)
+    defaults T = 5000, step 0.04), in chunks of 2^19 nodes, so its traced
+    peak stays near 24 MiB at any node count. Above QUAD_NODES_MAX = 2^25,
+    about 13 s at the 0.3-0.45 us per node measured at X = 18 on a 2-core
+    Xeon VM (numpy 2.4), ResourceError is raised before any integrand work
+    (quadrature_intervals)."""
+    n = quadrature_intervals(model, X, T, step)
     eps = resonator_config(T).eps
-    t_max = _GAUSS_CUT / eps
-    half = t_max / step  # stays a float past the budget, so no step overflows ceil
-    n = max(8, 2 * math.ceil(half)) if half <= QUAD_NODES_MAX else 2.0 * half
-    if not 4 * n + 1 <= QUAD_NODES_MAX:
-        raise ResourceError(
-            f"quadrature needs {4 * n + 1:.3g} nodes, beyond the budget "
-            f"{QUAD_NODES_MAX}; raise step or lower T"
-        )
-    vals = _simpson_levels(model, X, eps, t_max, n)
+    vals = _simpson_levels(model, X, eps, _GAUSS_CUT / eps, n)
     e1 = max(abs(vals[1][0] - vals[0][0]), abs(vals[1][2] - vals[0][2]))
     e2 = max(abs(vals[2][0] - vals[1][0]), abs(vals[2][2] - vals[1][2]))
     floor = 1e-12 * max(abs(vals[2][0]), abs(vals[2][2]))

@@ -84,6 +84,11 @@ def env_threads() -> int | None:
     return v
 
 
+def worker_cap() -> int:
+    """The worker count: OLX_THREADS, or all cores when it is unset."""
+    return env_threads() or os.cpu_count() or 1
+
+
 def _record_at(model: LFunctionModel, t: float, Y: float, refined: bool) -> ScanRecord:
     value = euler_product_on_line(model, t, Y)
     mag = abs(value)
@@ -165,7 +170,7 @@ def grid_scan(
         return re_log[idx], lo + idx
 
     n_chunks = (n_points + _CHUNK - 1) // _CHUNK
-    workers = min(env_threads() or os.cpu_count() or 1, n_chunks)
+    workers = min(worker_cap(), n_chunks)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_chunk = list(pool.map(chunk_survivors, range(n_chunks)))

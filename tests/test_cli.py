@@ -3,12 +3,15 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+import olx.cli
 from olx.cli import run
+from olx.errors import NumericError, ResourceError
 
 
 def run_capture(argv, capsys):
@@ -114,6 +117,68 @@ def test_moments_budget_refuses_before_the_series(capsys, monkeypatch):
     code, _, err = run_capture(["moments", "--T", "1e8"], capsys)
     assert code == 3
     assert err.startswith("error: resource: quadrature needs")
+
+
+def test_moments_budget_refuses_before_the_series_two_threads(capsys, monkeypatch):
+    # the same refusal when the quadrature would run beside the series
+    def series_must_not_run(*args):
+        raise AssertionError("moment_series ran before the quadrature budget")
+
+    monkeypatch.setenv("OLX_THREADS", "2")
+    monkeypatch.setattr("olx.cli.moment_series", series_must_not_run)
+    code, _, err = run_capture(["moments", "--T", "1e8"], capsys)
+    assert code == 3
+    assert err.startswith("error: resource: quadrature needs")
+
+
+@pytest.mark.parametrize("model", ["zeta", "dedekind:-4"])
+def test_moments_body_independent_of_threads(model, capsys, monkeypatch):
+    bodies = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OLX_THREADS", threads)
+        code, out, _ = run_capture(["moments", "--model", model, "--X", "10",
+                                    "--n-cutoff", "1e4"], capsys)
+        assert code == 0
+        bodies.append(out.split('"data":', 1)[1])  # the config names the thread count
+    assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("threads, worker", [("1", False), ("2", True)])
+def test_moments_quadrature_beside_the_series(threads, worker, capsys, monkeypatch):
+    ran_on = []
+
+    def recording(*args):
+        ran_on.append(threading.current_thread() is not threading.main_thread())
+        return moment_quadrature(*args)
+
+    moment_quadrature = olx.cli.moment_quadrature
+    monkeypatch.setenv("OLX_THREADS", threads)
+    monkeypatch.setattr("olx.cli.moment_quadrature", recording)
+    code, _, _ = run_capture(["moments", "--X", "5", "--n-cutoff", "100"], capsys)
+    assert (code, ran_on) == (0, [worker])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"], ids=["1-thread", "2-threads"])
+@pytest.mark.parametrize("quadrature_fails, want", [
+    (True, (2, "error: numeric: quadrature failed\n")),
+    (False, (3, "error: resource: series failed\n")),
+], ids=["both-fail", "series-fails"])
+def test_moments_error_precedence(threads, quadrature_fails, want, capsys, monkeypatch):
+    # when both paths fail the quadrature's error is reported, at any thread
+    # count, even if the series fails first
+    def quadrature(*args):
+        time.sleep(0.2)
+        if quadrature_fails:
+            raise NumericError("quadrature failed")
+
+    def series(*args):
+        raise ResourceError("series failed")
+
+    monkeypatch.setenv("OLX_THREADS", threads)
+    monkeypatch.setattr("olx.cli.moment_quadrature", quadrature)
+    monkeypatch.setattr("olx.cli.moment_series", series)
+    code, out, err = run_capture(["moments", "--X", "5", "--n-cutoff", "100"], capsys)
+    assert (code, out, err) == (want[0], "", want[1])
 
 
 @pytest.mark.parametrize("step, count", [("1e-300", "9.9e+302"), ("5e-324", "inf")])

@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import olx.resonator as resonator
-from olx.errors import DomainError
+from olx.errors import DomainError, ResourceError
 from olx.lfamily import EULER_GAMMA
 from olx.resonator import (
     _banded_sum,
+    _enumerate_half,
     _integrand_sums,
+    _octave_blocks,
+    _series_sum,
     _simpson_levels,
     asymptotic_bound,
     moment_quadrature,
@@ -20,6 +24,11 @@ from olx.resonator import (
 )
 
 E_POW_E = math.exp(math.e)
+
+
+def banded_sum(xA, wA, xB, wB, *rest):
+    """_banded_sum over unsorted items."""
+    return _banded_sum(_octave_blocks(xA, wA), _octave_blocks(xB, wB), *rest)
 
 
 class TestConfig:
@@ -173,11 +182,11 @@ class TestBandedSum:
                 if nA[oa] and nB[ob] and not admitted[oa, ob]:
                     skipped += 2.0 ** (-(oa + ob)) * int(min(nA[oa], nB[ob]))
 
-        total, floor_mass, _ = _banded_sum(
+        total, floor_mass, _ = banded_sum(
             xA, wA, xB, wB, self.INV4EPS2, self.BAND, self.FLOOR, self.SHALLOW)
         assert abs(total / direct - 1.0) < 1e-13
         assert floor_mass == skipped
-        swapped, _, _ = _banded_sum(
+        swapped, _, _ = banded_sum(
             xB, wB, xA, wA, self.INV4EPS2, self.BAND, self.FLOOR, self.SHALLOW)
         assert abs(swapped / total - 1.0) < 1e-14
 
@@ -209,21 +218,102 @@ class TestBandedSum:
         assert (in_band[-3:] & (octB < 4)[None, :]).any(axis=1).all()
         direct = float(np.sum(deep[keep]))
 
-        _, _, shallow = _banded_sum(
+        _, _, shallow = banded_sum(
             xA, wA, xB, wB, self.INV4EPS2, self.BAND, self.FLOOR, self.SHALLOW)
         assert abs(shallow / direct - 1.0) < 1e-13
         ka, kb = octA < self.SHALLOW, octB < self.SHALLOW
-        filtered, _, _ = _banded_sum(xA[ka], wA[ka], xB[kb], wB[kb], self.INV4EPS2,
-                                     self.BAND, edge * 1e-2, self.SHALLOW)
+        filtered, _, _ = banded_sum(xA[ka], wA[ka], xB[kb], wB[kb], self.INV4EPS2,
+                                    self.BAND, edge * 1e-2, self.SHALLOW)
         assert abs(shallow / filtered - 1.0) < 1e-14
 
         # the pair sum and the shallow mass of _series_sum class each item
         # on the cut, and a control above it, the same way
         for w in (*on_cut, 2.0 ** -(self.SHALLOW - 0.5)):
-            _, _, pair = _banded_sum(np.zeros(1), np.array([w]), np.zeros(1), np.ones(1),
-                                     self.INV4EPS2, self.BAND, self.FLOOR, self.SHALLOW)
+            _, _, pair = banded_sum(np.zeros(1), np.array([w]), np.zeros(1), np.ones(1),
+                                    self.INV4EPS2, self.BAND, self.FLOOR, self.SHALLOW)
             assert pair in (0.0, w)
             assert resonator._shallow_mass(np.array([w]), self.SHALLOW) == pair
+
+
+def one_shot_enumeration(half, delta):
+    """_enumerate_half as one outer product per prime, the reference for
+    the row-blocked enumeration."""
+    xs, ws, scale = np.zeros(1), np.ones(1), 1.0
+    for logp, table in half:
+        m = float(table.max())
+        scale *= m
+        tnorm = table / m
+        fmax = (len(table) - 1) // 2
+        offs = np.arange(-fmax, fmax + 1) * logp
+        keep_f = tnorm >= delta
+        tnorm, offs = tnorm[keep_f], offs[keep_f]
+        new_x = (xs[:, None] + offs[None, :]).ravel()
+        new_w = (ws[:, None] * tnorm[None, :]).ravel()
+        keep = new_w >= delta
+        xs, ws = new_x[keep], new_w[keep]
+    return xs, ws, scale
+
+
+class TestBlockedEnumeration:
+    DELTA = 2.0**-10
+
+    def test_matches_one_shot_reference(self):
+        rng = np.random.default_rng(1729)
+
+        def table(width, top):
+            # powers of two, so products land exactly on DELTA; max 1 at the centre
+            t = 2.0 ** -rng.integers(0, top, width).astype(float)
+            t[width // 2] = 1.0
+            return t
+
+        wide = table(70_001, 31)  # wider than one row block of 2^16 cells
+        wide[:5] = self.DELTA  # factors exactly at the floor are kept
+        mid = table(41, 13)  # crosses the wide table's items in many row blocks
+        last = rng.uniform(0.01, 0.5, 9) * 3.0  # a maximum other than 1
+        half = [(math.log(2.0), wide), (math.log(3.0), mid), (math.log(5.0), last)]
+        got = _enumerate_half(half, self.DELTA)
+        want = one_shot_enumeration(half, self.DELTA)
+        assert len(want[0]) > 1 << 16
+        assert (want[1] == self.DELTA).sum() > 100
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    def test_budget_refuses_before_the_product_is_built(self, zeta, monkeypatch):
+        # built one prime's whole outer product at a time, this enumeration
+        # held 51 MiB before refusing at this budget, and 2 GB at the real one
+        monkeypatch.setattr(resonator, "_ENUM_MAX_ITEMS", 200_000)
+        eps = resonator_config(5000.0).eps
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError) as info:
+                _series_sum(zeta, 30.0, eps, 1e-8, "I2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            "moment-series enumeration exceeded 200000 items; lower n_cutoff or X")
+        assert peak < 16 * 2**20
+
+
+class TestMemoryPeaks:
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_quadrature_sweeps_in_small_blocks(self, zeta):
+        # 7.2e5 nodes in chunks of 2^19; a whole-chunk integrand took 60 MiB
+        assert self.traced_peak(moment_quadrature, zeta, 10.0, 5000.0, 0.04) < 32 * 2**20
+
+    def test_series_peak_not_above_one_shot_enumeration(self, zeta):
+        moment_series(zeta, 14.0, 5000.0, 10**5)  # prime tables cached outside the peak
+        # 8,458,514 bytes with one-shot enumeration and both halves' unsorted
+        # items held through the pair sum; about 5.5e6 without them
+        assert self.traced_peak(moment_series, zeta, 14.0, 5000.0, 10**5) <= 8_458_514
 
 
 class TestOnePassPerMoment:
