@@ -45,7 +45,7 @@ from .mertens import (
     mertens_report,
     truncated_product_at_1,
 )
-from .primes import PrimeTable, kronecker, sieve_primes
+from .primes import kronecker, sieve_primes
 from .resonator import (
     MomentQuadrature,
     MomentSeries,
@@ -72,7 +72,6 @@ __all__ = [
     "MomentSeries",
     "NumericError",
     "OlxError",
-    "PrimeTable",
     "RangeError",
     "ResonanceReport",
     "ResonatorConfig",

@@ -43,13 +43,13 @@ class LFunctionModel:
     coeff_cutoff is the largest prime with known roots (finite only for
     the Rankin-Selberg model). residue_tail is the tail estimate that
     sym2_residue reports with the Rankin-Selberg residue (0.0 otherwise).
+    gamma_f is derived from the pole order m and the residue c.
     """
 
     label: str
     degree: int
     pole_order: int
     residue: float
-    gamma_f: float
     kind: str
     coeff_cutoff: float
     residue_tail: float = 0.0
@@ -61,9 +61,11 @@ class LFunctionModel:
     def __post_init__(self) -> None:
         if self.pole_order < 1:
             raise DomainError("model needs a pole at s = 1 (pole_order >= 1)")
-        expected = self.pole_order * EULER_GAMMA + math.log(self.residue)
-        if abs(expected - self.gamma_f) > 1e-12:
-            raise NumericError("gamma_f is inconsistent with (pole_order, residue)")
+
+    @property
+    def gamma_f(self) -> float:
+        """gamma_F = m*gamma + log(c)."""
+        return self.pole_order * EULER_GAMMA + math.log(self.residue)
 
     def check_cutoff(self, x: float) -> None:
         """Raise RangeError if primes up to x reach past the coefficient table."""
@@ -208,7 +210,6 @@ def make_zeta_power(m: int) -> LFunctionModel:
         degree=m,
         pole_order=m,
         residue=1.0,
-        gamma_f=m * EULER_GAMMA,
         kind="zeta-power",
         coeff_cutoff=math.inf,
     )
@@ -245,7 +246,6 @@ def make_dedekind_quadratic(d: int) -> LFunctionModel:
         degree=2,
         pole_order=1,
         residue=residue,
-        gamma_f=EULER_GAMMA + math.log(residue),
         kind="dedekind",
         coeff_cutoff=math.inf,
         discriminant=d,
@@ -315,7 +315,6 @@ def make_rankin_selberg_delta(N: int) -> LFunctionModel:
         degree=4,
         pole_order=1,
         residue=residue,
-        gamma_f=EULER_GAMMA + math.log(residue),
         kind="rankin-selberg",
         coeff_cutoff=float(N),
         residue_tail=tail,
@@ -353,30 +352,24 @@ def local_coefficients(model: LFunctionModel, p: int, vmax: int) -> np.ndarray:
     return h
 
 
+_SELECTORS = (
+    ("zeta^", "zeta power", make_zeta_power),
+    ("dedekind:", "discriminant", make_dedekind_quadratic),
+    ("rs-delta:", "coefficient cutoff", make_rankin_selberg_delta),
+)
+
+
 def parse_model(selector: str) -> LFunctionModel:
     """Model grammar used by the CLI: zeta | zeta^<m> | dedekind:<d> | rs-delta:<N>."""
     if selector == "zeta":
         return make_zeta_power(1)
-    if selector.startswith("zeta^"):
-        try:
-            m = int(selector[5:])
-        except ValueError:
-            raise DomainError(f"bad zeta power in model selector {selector!r}") from None
-        return make_zeta_power(m)
-    if selector.startswith("dedekind:"):
-        try:
-            d = int(selector[9:])
-        except ValueError:
-            raise DomainError(f"bad discriminant in model selector {selector!r}") from None
-        return make_dedekind_quadratic(d)
-    if selector.startswith("rs-delta:"):
-        try:
-            n = int(selector[9:])
-        except ValueError:
-            raise DomainError(
-                f"bad coefficient cutoff in model selector {selector!r}"
-            ) from None
-        return make_rankin_selberg_delta(n)
+    for prefix, noun, make in _SELECTORS:
+        if selector.startswith(prefix):
+            try:
+                arg = int(selector[len(prefix) :])
+            except ValueError:
+                raise DomainError(f"bad {noun} in model selector {selector!r}") from None
+            return make(arg)
     raise DomainError(
         f"unknown model selector {selector!r}; "
         "expected zeta, zeta^<m>, dedekind:<d> or rs-delta:<N>"

@@ -38,7 +38,7 @@ def truncated_product_at_1(model: LFunctionModel, x: float) -> float:
     if x < 2:
         raise DomainError(f"truncated product needs x >= 2, got {x}")
     model.check_cutoff(x)
-    primes = sieve_primes(int(x)).primes
+    primes = sieve_primes(int(x))
     log_product = blocked_log_sum(primes, lambda ps: log_local_factor(model, ps))
     return exp_of_log(log_product, f"truncated product at x = {x}")
 

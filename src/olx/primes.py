@@ -7,7 +7,6 @@ degree-2 field models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -17,23 +16,6 @@ from .errors import DomainError, ResourceError
 SIEVE_LIMIT_MAX = 1 << 32
 SEGMENT_SIZE = 1 << 21
 Y_MAX = 100_000_000  # the sieve budget of the cached table: largest cutoff Y
-
-
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes <= limit, ascending, as an immutable int64 array."""
-
-    limit: int
-    primes: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        self.primes.setflags(write=False)
-
-    def __len__(self) -> int:
-        return int(self.primes.size)
-
-    def __iter__(self):
-        return iter(self.primes)
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -47,8 +29,9 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> PrimeTable:
-    """Segmented sieve of Eratosthenes over the odd numbers.
+def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
+    """All primes <= limit, ascending, as a read-only int64 array, from a
+    segmented sieve of Eratosthenes over the odd numbers.
 
     Memory is bounded by segment_size (integers per segment, held as one
     flag per odd number), not limit, so scans can ask for primes up to 1e8
@@ -79,7 +62,9 @@ def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> PrimeTable:
             mask[i::p] = False
         chunks.append(np.flatnonzero(mask) * 2 + lo)
         lo += 2 * n
-    return PrimeTable(limit=limit, primes=np.concatenate(chunks))
+    primes = np.concatenate(chunks)
+    primes.setflags(write=False)
+    return primes
 
 
 @lru_cache(maxsize=6)
@@ -91,7 +76,7 @@ def primes_upto(limit: int) -> np.ndarray:
     """
     if limit > Y_MAX:
         raise ResourceError(f"Y = {limit:g} exceeds the sieve budget {Y_MAX:g}")
-    return sieve_primes(limit).primes
+    return sieve_primes(limit)
 
 
 def kronecker(d: int, n: int) -> int:
@@ -142,7 +127,7 @@ def character_table(d: int) -> np.ndarray:
     # zeroes its multiples by chi_d(p), one kronecker call per prime
     table = np.ones(q, dtype=np.int8)
     table[0] = 0
-    for p in sieve_primes(q).primes.tolist():
+    for p in sieve_primes(q).tolist():
         chi_p = kronecker(d, p)
         if chi_p == 0:
             table[p::p] = 0

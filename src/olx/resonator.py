@@ -99,14 +99,9 @@ def resonator_config(T: float) -> ResonatorConfig:
     return ResonatorConfig(T=T, X=log_t * log2_t / 6.0, eps=log_t / T)
 
 
-def q_of_prime(p: int, X: float) -> float:
-    """Resonator weight q_p = max(0, 1 - p/X)."""
-    return max(0.0, 1.0 - p / X)
-
-
-def _weights(primes: np.ndarray, X: float) -> np.ndarray:
-    """Vectorized q_p = max(0, 1 - p/X)."""
-    return np.maximum(1.0 - primes.astype(np.float64) / X, 0.0)
+def q_of_prime(p: int | np.ndarray, X: float) -> float | np.ndarray:
+    """Resonator weight q_p = max(0, 1 - p/X) of one prime or an array of them."""
+    return np.maximum(1.0 - p / X, 0.0)
 
 
 def _defect_terms(model: LFunctionModel, primes: np.ndarray, X: float) -> np.ndarray:
@@ -115,7 +110,7 @@ def _defect_terms(model: LFunctionModel, primes: np.ndarray, X: float) -> np.nda
     a real check, not bookkeeping."""
     real, pair_re = model.root_blocks(primes)
     pf = primes.astype(np.float64)
-    q = _weights(primes, X)
+    q = q_of_prime(primes, X)
     terms = np.zeros(len(primes))
     for j in range(real.shape[1]):
         a = real[:, j]
@@ -136,7 +131,7 @@ def resonance_products_at_cutoff(
     if X < 2:
         return 1.0, 1.0, 1.0
     primes = primes_upto(int(X))
-    res = blocked_log_sum(primes, lambda ps: log_local_factor(model, ps, _weights(ps, X)))
+    res = blocked_log_sum(primes, lambda ps: log_local_factor(model, ps, q_of_prime(ps, X)))
     mer = blocked_log_sum(primes, lambda ps: log_local_factor(model, ps))
     dft = blocked_log_sum(primes, lambda ps: _defect_terms(model, ps, X))
     return (
@@ -281,28 +276,20 @@ def _octaves(w: np.ndarray) -> np.ndarray:
     return np.minimum(-np.log2(w), 60).astype(np.int16)
 
 
-def _shallow_mass(w: np.ndarray, o_sh: int) -> float:
-    """Total weight of the items of octave < o_sh, the items that
-    _banded_sum's shallow sub-sum counts."""
-    return float(np.sum(w[_octaves(w) < o_sh]))
-
-
 def _octave_blocks(
-    x: np.ndarray, w: np.ndarray
+    x: np.ndarray, w: np.ndarray, octave: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, w) sorted by (weight octave, x) for weights w in (0, 1], and
+    """(x, w) sorted by (weight octave, x), given octave = _octaves(w), and
     the start offset of each octave 0..61.
 
     Same order as np.lexsort((x, octave)) whenever x has no ties: one
     quicksort on x, then a stable radix sort on the int16 octave. The
-    permutation by x and the octaves are freed before x and w are gathered.
+    permutation by x is freed before x and w are gathered.
     """
-    octave = _octaves(w)
     by_x = np.argsort(x)
     order = by_x[np.argsort(octave[by_x], kind="stable")]
     del by_x
     starts = np.searchsorted(octave[order], np.arange(62))
-    del octave
     return x[order], w[order], starts
 
 
@@ -396,10 +383,10 @@ def _series_sum(
     shallow sub-sum, so both cuts share one split into halves and one pass
     over the in-band pairs), and the weight the floor dropped (closed-form
     total minus the enumerated mass) times 4 times the rate at which the
-    mass between the two cuts entered the Gaussian band. The shallow mass
-    counts the items by the same octaves as the pair sum. Each half's
-    masses are summed before it is sorted into octave blocks, and only the
-    sorted copies stay alive through the pair sum.
+    mass between the two cuts entered the Gaussian band. Each half's
+    octaves, computed once, class its items for the shallow mass and the
+    pair sum alike. The masses are summed before the half is sorted into
+    octave blocks, and only the sorted copies stay alive through the pair sum.
     """
     tabs = []
     total = 1.0
@@ -419,11 +406,12 @@ def _series_sum(
     blocks, masses, masses_sh, scales = [], [], [], []
     for h in halves:
         x, w, half_scale = _enumerate_half(h, delta)
+        octave = _octaves(w)
         masses.append(float(np.sum(w)))
-        masses_sh.append(_shallow_mass(w, o_sh))
+        masses_sh.append(float(np.sum(w[octave < o_sh])))
         scales.append(half_scale)
-        blocks.append(_octave_blocks(x, w))
-        del x, w
+        blocks.append(_octave_blocks(x, w, octave))
+        del x, w, octave
     scale = scales[0] * scales[1]
     g_tol = 1e-18
     band = 2.0 * eps * math.sqrt(math.log(1.0 / g_tol))

@@ -192,22 +192,23 @@ def refine_peak(
 ) -> ScanRecord:
     """Golden-section maximization of |F(1 + it; Y)| on
     [t_seed - bracket, t_seed + bracket] within |t| <= T_MAX; stops when
-    the bracket is below tol. The returned magnitude never falls below the seed's (the best
-    evaluated point wins, and the seed is evaluated)."""
+    the bracket is below tol. Returns the best record it evaluated, ties
+    toward smaller t; the seed is among them, so no refinement loses it."""
     if tol < 1e-9:
         raise DomainError(f"refinement tolerance must be >= 1e-9, got {tol}")
     if bracket <= 0:
         raise DomainError("bracket half-width must be positive")
+    seen: list[ScanRecord] = []
 
     def mag(t: float) -> float:
-        return _record_at(model, t, Y, refined=True).magnitude
+        seen.append(_record_at(model, t, Y, refined=True))
+        return seen[-1].magnitude
 
-    best_t = float(t_seed)
-    best_m = mag(best_t)
+    mag(float(t_seed))
     a = max(t_seed - bracket, -T_MAX)  # a seed at the budget edge stays refinable
     b = min(t_seed + bracket, T_MAX)
     if b - a <= tol:
-        return _record_at(model, best_t, Y, refined=True)
+        return seen[0]
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
@@ -217,19 +218,11 @@ def refine_peak(
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
             fc = mag(c)
-            t_new, m_new = c, fc
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = mag(d)
-            t_new, m_new = d, fd
-        if m_new > best_m or (m_new == best_m and t_new < best_t):
-            best_t, best_m = t_new, m_new
-    if fc > best_m:
-        best_t, best_m = c, fc
-    if fd > best_m:
-        best_t, best_m = d, fd
-    return _record_at(model, best_t, Y, refined=True)
+    return min(seen, key=lambda r: (-r.magnitude, r.t))
 
 
 def bound_report(

@@ -153,7 +153,7 @@ def test_criterion_09_coefficient_bound_and_multiplicativity():
     t0 = time.time()
     N = 10**4
     table = tau_table(N)
-    for p in sieve_primes(N).primes:
+    for p in sieve_primes(N):
         p = int(p)
         assert table.tau(p) ** 2 <= 4 * p**11, p
     vals = [0] + [table.tau(n) for n in range(1, N + 1)]

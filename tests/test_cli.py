@@ -352,16 +352,27 @@ class TestThreadsEnv:
 
 def test_traced_bench_run_matches_the_cli(tmp_path):
     # the benchmark's traced pass rebinds its LAYERS functions by name;
-    # a refactor that renames or inlines one must not go unnoticed
+    # a refactor that renames, inlines or changes the return type of one
+    # must not go unnoticed
     script = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
     spans = tmp_path / "spans.json"
-    args = ["moments", "--X", "10", "--n-cutoff", "1e4"]
-    traced = subprocess.run([sys.executable, str(script), str(spans), *args],
-                            capture_output=True)
-    plain = subprocess.run([sys.executable, "-m", "olx.cli", *args],
-                           capture_output=True, check=True)
-    assert traced.returncode == 0, traced.stderr
-    assert traced.stdout == plain.stdout
-    names = {span[1] for span in json.loads(spans.read_text())}
-    assert {"resonator.moment_series", "resonator.moment_quadrature",
-            "lfamily.local_coefficients"} <= names
+    for args, layers, counts in (
+        (["moments", "--X", "10", "--n-cutoff", "1e4"],
+         {"resonator.moment_series", "resonator.moment_quadrature",
+          "lfamily.local_coefficients"}, {}),
+        (["mertens", "--x", "1e5"], {"primes.sieve_primes"}, {"primes.primes_out": [9592]}),
+        (["scan", "--model", "zeta", "--t-min", "171", "--t-max", "172", "--step", "0.01",
+          "--Y", "1e3", "--top-k", "2"], {"expsum.exp_sum_on_grid", "scan.refine_peak"}, {}),
+        (["calibrate", "--samples", "2"], {"evaluate.direct_value"}, {}),
+    ):
+        traced = subprocess.run([sys.executable, str(script), str(spans), *args],
+                                capture_output=True)
+        plain = subprocess.run([sys.executable, "-m", "olx.cli", *args],
+                               capture_output=True, check=True)
+        assert traced.returncode == 0, traced.stderr
+        assert traced.stdout == plain.stdout
+        recorded = json.loads(spans.read_text())  # spans.py layout: name 1, info 6
+        assert layers <= {span[1] for span in recorded}, args[0]
+        for metric, values in counts.items():
+            assert [span[6][metric] for span in recorded
+                    if span[6] and metric in span[6]] == values

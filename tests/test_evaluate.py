@@ -169,7 +169,7 @@ class TestEulerProductOnLine:
 
         t, Y = 5.0, 1000.0
         char = complex(1.0)
-        for p in sieve_primes(int(Y)).primes:
+        for p in sieve_primes(int(Y)):
             p = int(p)
             chi = kronecker(-4, p)
             w = complex(p) ** complex(-1.0, -t)

@@ -106,7 +106,7 @@ class TestTau:
 
     def test_two_sided_prime_bound(self):
         table = tau_table(2000)
-        for p in sieve_primes(2000).primes:
+        for p in sieve_primes(2000):
             p = int(p)
             assert table.tau(p) ** 2 <= 4 * p**11
 
@@ -160,7 +160,7 @@ class TestDedekind:
         # local polynomial prod_j (1 - alpha_j x) = (1 - x)(1 - chi(p) x)
         for d in (-4, -3, 5, 8):
             model = make_dedekind_quadratic(d)
-            for p in sieve_primes(1000).primes:
+            for p in sieve_primes(1000):
                 p = int(p)
                 r1, r2 = roots_at(model, p)
                 chi = kronecker(d, p)
@@ -198,7 +198,7 @@ class TestDirichletL1:
 class TestRankinSelberg:
     def test_root_sum_is_lambda_squared(self, rs_small):
         table = tau_table(2000)
-        primes = sieve_primes(2000).primes
+        primes = sieve_primes(2000)
         real, pair_re = rs_small.root_blocks(primes)
         assert real.shape[1] + 2 * pair_re.shape[1] == rs_small.degree
         for p, p1 in zip(primes, power_sum(rs_small, primes, 1)):
@@ -221,7 +221,7 @@ class TestRankinSelberg:
             assert all(abs(a - b) < 1e-14 for a, b in zip(conj, orig))
 
     def test_roots_on_unit_disc(self, rs_small):
-        real, pair_re = rs_small.root_blocks(sieve_primes(2000).primes)
+        real, pair_re = rs_small.root_blocks(sieve_primes(2000))
         assert np.all(np.abs(real) <= 1 + 1e-12)
         assert np.all(np.abs(pair_re) <= 1 + 1e-12)  # the pair's real part c = cos theta
 
@@ -230,7 +230,7 @@ class TestRankinSelberg:
             rs_small.root_blocks(np.array([2003]))
 
     def test_power_sums_match_complex_roots(self, rs_small):
-        primes = sieve_primes(2000).primes
+        primes = sieve_primes(2000)
         for r in range(1, 41):
             got = power_sum(rs_small, primes, r)
             want = [scalar_power_sum(rs_small, int(p), r) for p in primes]
@@ -292,7 +292,7 @@ class TestModelInvariants:
         # power-series coefficients of the local factors stay >= 0,
         # out to prime powers p^v <= 1e4
         for model in (zeta, zeta2, gauss, rs_small):
-            for p in sieve_primes(1000).primes:
+            for p in sieve_primes(1000):
                 vmax = max(6, int(math.log(1e4) / math.log(int(p))))
                 coeffs = local_coefficients(model, int(p), vmax)
                 assert np.all(coeffs >= -1e-10), (model.label, p)
@@ -327,6 +327,14 @@ class TestParseModel:
         assert parse_model("rs-delta:500").coeff_cutoff == 500
 
     def test_rejects(self):
-        for text in ("zeta^x", "dedekind:abc", "rs-delta:", "xi", "zeta2"):
-            with pytest.raises(DomainError):
+        unknown = "; expected zeta, zeta^<m>, dedekind:<d> or rs-delta:<N>"
+        for text, message in (
+            ("zeta^x", "bad zeta power in model selector 'zeta^x'"),
+            ("dedekind:abc", "bad discriminant in model selector 'dedekind:abc'"),
+            ("rs-delta:", "bad coefficient cutoff in model selector 'rs-delta:'"),
+            ("xi", "unknown model selector 'xi'" + unknown),
+            ("zeta2", "unknown model selector 'zeta2'" + unknown),
+        ):
+            with pytest.raises(DomainError) as err:
                 parse_model(text)
+            assert str(err.value) == message

@@ -18,7 +18,7 @@ from olx.primes import kronecker, sieve_primes
 def product_oracle_zeta(x):
     """prod (1 - 1/p)^(-1) over p <= x in exact rational arithmetic."""
     acc = Fraction(1)
-    for p in sieve_primes(x).primes:
+    for p in sieve_primes(x):
         acc *= 1 / (1 - Fraction(1, int(p)))
     return acc
 
@@ -39,7 +39,7 @@ class TestLambdaCoeff:
         assert abs(lambda_coeff(gauss, 3, 2) - 1.0) < 1e-15
 
     def test_bound_degree_over_r(self, zeta, zeta2, gauss, rs_small):
-        primes = sieve_primes(1000).primes
+        primes = sieve_primes(1000)
         for model in (zeta, zeta2, gauss, rs_small):
             for r in range(1, 21):
                 val = power_sum(model, primes, r) / r
@@ -76,7 +76,7 @@ class TestTruncatedProduct:
             char_factor = math.exp(
                 -math.fsum(
                     math.log1p(-kronecker(d, int(p)) / int(p))
-                    for p in sieve_primes(x).primes
+                    for p in sieve_primes(x)
                 )
             )
             lhs = truncated_product_at_1(model, x)

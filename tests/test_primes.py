@@ -40,39 +40,39 @@ def kronecker_odd_prime_oracle(d, p):
 
 class TestSieve:
     def test_first_primes(self):
-        assert sieve_primes(10).primes.tolist() == [2, 3, 5, 7]
+        assert sieve_primes(10).tolist() == [2, 3, 5, 7]
 
     def test_limit_too_small(self):
         with pytest.raises(DomainError):
             sieve_primes(1)
 
     def test_against_trial_division(self):
-        assert sieve_primes(10_000).primes.tolist() == trial_division_primes(10_000)
+        assert sieve_primes(10_000).tolist() == trial_division_primes(10_000)
 
     def test_count_at_1e6(self):
         assert len(sieve_primes(10**6)) == 78498
 
     def test_prefix_property(self):
-        big = sieve_primes(10**5).primes
+        big = sieve_primes(10**5)
         for smaller in (10, 97, 1000, 65536):
-            small = sieve_primes(smaller).primes
+            small = sieve_primes(smaller)
             np.testing.assert_array_equal(small, big[big <= smaller])
 
     def test_segment_boundaries(self):
         # tiny segments exercise the per-segment striking logic
-        ref = sieve_primes(5000).primes
-        seg = sieve_primes(5000, segment_size=64).primes
+        ref = sieve_primes(5000)
+        seg = sieve_primes(5000, segment_size=64)
         np.testing.assert_array_equal(ref, seg)
 
     def test_deterministic(self):
-        a = sieve_primes(12345).primes
-        b = sieve_primes(12345).primes
+        a = sieve_primes(12345)
+        b = sieve_primes(12345)
         np.testing.assert_array_equal(a, b)
 
     def test_result_immutable(self):
         t = sieve_primes(100)
         with pytest.raises(ValueError):
-            t.primes[0] = 4
+            t[0] = 4
 
     def test_limit_above_budget_is_a_resource_error(self):
         with pytest.raises(ResourceError, match="sieve budget"):
@@ -82,7 +82,7 @@ class TestSieve:
     def test_every_small_limit(self, segment_size):
         for limit in range(2, 401):
             np.testing.assert_array_equal(
-                sieve_primes(limit, segment_size).primes, _simple_sieve(limit))
+                sieve_primes(limit, segment_size), _simple_sieve(limit))
 
     @pytest.mark.parametrize("segment_size", [64, 1000])
     def test_limits_around_segment_edges(self, segment_size):
@@ -93,7 +93,7 @@ class TestSieve:
             first = max(math.isqrt(limit) + 1, 3) | 1
             if (limit - first + 3) % segment_size <= 6:
                 np.testing.assert_array_equal(
-                    sieve_primes(limit, segment_size).primes, _simple_sieve(limit))
+                    sieve_primes(limit, segment_size), _simple_sieve(limit))
                 checked += 1
         assert checked > 200
 

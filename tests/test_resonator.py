@@ -12,6 +12,7 @@ from olx.resonator import (
     _enumerate_half,
     _integrand_sums,
     _octave_blocks,
+    _octaves,
     _series_sum,
     _simpson_levels,
     asymptotic_bound,
@@ -28,7 +29,8 @@ E_POW_E = math.exp(math.e)
 
 def banded_sum(xA, wA, xB, wB, *rest):
     """_banded_sum over unsorted items."""
-    return _banded_sum(_octave_blocks(xA, wA), _octave_blocks(xB, wB), *rest)
+    return _banded_sum(_octave_blocks(xA, wA, _octaves(wA)),
+                       _octave_blocks(xB, wB, _octaves(wB)), *rest)
 
 
 class TestConfig:
@@ -60,6 +62,11 @@ class TestWeights:
         assert [q_of_prime(p, 10.0) for p in (2, 3, 5, 7)] == pytest.approx(
             [0.8, 0.7, 0.5, 0.3]
         )
+        # the array form gives the scalar values, bit for bit
+        primes = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23], dtype=np.int64)
+        for X in (10.0, 17.9, 18.0, 1e3):
+            q = q_of_prime(primes, X)
+            assert q.tolist() == [q_of_prime(int(p), X) for p in primes]
 
 
 class TestResonanceProducts:
@@ -232,7 +239,8 @@ class TestBandedSum:
             _, _, pair = banded_sum(np.zeros(1), np.array([w]), np.zeros(1), np.ones(1),
                                     self.INV4EPS2, self.BAND, self.FLOOR, self.SHALLOW)
             assert pair in (0.0, w)
-            assert resonator._shallow_mass(np.array([w]), self.SHALLOW) == pair
+            ws = np.array([w])  # the shallow mass as _series_sum takes it
+            assert float(np.sum(ws[_octaves(ws) < self.SHALLOW])) == pair
 
 
 def one_shot_enumeration(half, delta):

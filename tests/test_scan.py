@@ -355,6 +355,20 @@ class TestRefinePeak:
         with pytest.raises(DomainError):
             refine_peak(zeta, 100.0, 1000.0, 1e-10, 0.05)
 
+    def test_evaluates_no_point_twice(self, zeta, monkeypatch):
+        evaluated = []
+
+        def recording(model, t, Y):
+            evaluated.append(t)
+            return euler_product_on_line(model, t, Y)
+
+        monkeypatch.setattr(scan_mod, "euler_product_on_line", recording)
+        for seed, tol in ((171.76, 1e-6), (171.76, 0.1), (1000.3, 1e-4)):
+            evaluated.clear()
+            ref = refine_peak(zeta, seed, 1e4, tol, 0.05)
+            assert len(evaluated) == len(set(evaluated))
+            assert ref.t in evaluated
+
 
 class TestBoundReport:
     def test_values_at_1e6(self, zeta):
