@@ -11,8 +11,9 @@ which is the computable core of the large-value lower bound.
 Both moment integrals are evaluated two independent ways: a series path
 summing Gaussian-transformed pair terms q_m q_n exp(-ln^2(m/n)/(4 eps^2))
 over the multiplicative support (organized by per-prime exponent
-differences, so the common-divisor direction has closed geometric sums),
-and a direct quadrature of the defining integrals.
+differences, so the common-divisor direction has closed geometric sums;
+a box-moment fast Gauss transform adds the pairs, and the truncation
+bound is rigorous), and a direct quadrature of the defining integrals.
 """
 from __future__ import annotations
 
@@ -63,7 +64,9 @@ class ResonanceReport:
 
 @dataclass(frozen=True)
 class MomentSeries:
-    """Series-path moment values with the enumeration truncation bound."""
+    """Series-path moment values; truncation_bound bounds the distance of
+    I1 and of I2 from the untruncated series (lag cut, Cramer remainder
+    and the weight the enumeration floor dropped; see moment_series)."""
 
     I1: float
     I2: float
@@ -271,159 +274,153 @@ def _enumerate_half(
     return xs, ws, scale
 
 
-def _octaves(w: np.ndarray) -> np.ndarray:
-    """Weight octave min(floor(-log2 w), 60) of weights w in (0, 1]."""
-    return np.minimum(-np.log2(w), 60).astype(np.int16)
+_BOX_R = 1.0  # r: box width in s = x/(2 eps), the pair sum's coordinate
+_ORDERS = 30  # K: Taylor orders k + l < K of the box expansion
+_Z_CUT = 6.6  # lag cut: pairs farther apart in s are dropped
+_LAGS = int(_Z_CUT / _BOX_R) + 1  # box lags |L| <= 7 hold every pair closer than _Z_CUT
+_BOX_BLOCK = 2048  # boxes per block of the lag sum
+_GEMM_BOXES = 256  # boxes per matrix product
+_CRAMER = (  # the orders n >= K of one pair; see _box_sum
+    1.0865 * (_BOX_R * math.sqrt(2.0)) ** _ORDERS / math.sqrt(math.factorial(_ORDERS))
+    / (1.0 - _BOX_R * math.sqrt(2.0 / (_ORDERS + 1))))
+_PAIR_REM = math.exp(-_Z_CUT**2) + _CRAMER  # box sum error per unit pair weight
 
 
-def _octave_blocks(
-    x: np.ndarray, w: np.ndarray, octave: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, w) sorted by (weight octave, x), given octave = _octaves(w), and
-    the start offset of each octave 0..61.
-
-    Same order as np.lexsort((x, octave)) whenever x has no ties: one
-    quicksort on x, then a stable radix sort on the int16 octave. The
-    permutation by x is freed before x and w are gathered.
-    """
-    by_x = np.argsort(x)
-    order = by_x[np.argsort(octave[by_x], kind="stable")]
-    del by_x
-    starts = np.searchsorted(octave[order], np.arange(62))
-    return x[order], w[order], starts
-
-
-def _banded_sum(
-    blocks_a: tuple[np.ndarray, np.ndarray, np.ndarray],
-    blocks_b: tuple[np.ndarray, np.ndarray, np.ndarray],
-    inv4eps2: float,
-    band: float,
-    pair_floor: float,
-    o_sh: int,
+def _box_sum(
+    s_a: np.ndarray, w_a: np.ndarray, s_b: np.ndarray, w_b: np.ndarray
 ) -> tuple[float, float, float]:
-    """sum wA wB exp(-(xA+xB)^2 * inv4eps2) over pairs with |xA+xB| <= band
-    and wA*wB >= pair_floor, via weight-octave buckets and sorted windows,
-    together with its sub-sum over the items of weight octave < o_sh.
+    """(S, sup_a, sup_b): S = sum over all pairs of w_a w_b exp(-(s_a - s_b)^2)
+    to within _PAIR_REM * sum(w_a) * sum(w_b), and upper bounds of
+    sup_y G_A(y) and sup_y G_B(y), G_A(y) = sum_a w_a exp(-(s_a - y)^2).
 
-    Each side comes as _octave_blocks(x, w): bucketed by weight octave
-    and sorted by x inside each bucket. An octave pair (oa, ob) is
-    admitted when 2^-(oa+ob) reaches the pair floor; for each admitted
-    pair the items of the smaller bucket search their band windows in the
-    larger one, so search and window expansion scale with the smaller
-    side. The sum is symmetric
-    in A and B, so the evaluated pair set does not depend on which side
-    searches (up to rounding at the band edge, where g <= 1e-18).
+    Each side comes sorted by s, with weights w >= 0. This is a 1-D fast
+    Gauss transform by box moments (Greengard & Strain, SIAM J. Sci. Stat.
+    Comput. 12, 1991). Box i has centre i r; its items have offsets u. For
+    a in box i and b in box i - L, s_a - s_b = L r + u_a - u_b. Taylor's
+    series at Z = L r, where d^n/dz^n e^(-z^2) = (-1)^n h_n(z) with
+    h_n = H_n e^(-z^2), turns the pair's Gaussian into
+    sum_(k,l) (-1)^k h_(k+l)(Z) (u_a^k/k!) (u_b^l/l!), the sign being
+    (-1)^(k+l) from the derivative times (-1)^l from (-u_b)^l. So
+    S = sum_L sum_(k+l<K) (-1)^k h_(k+l)(L r) C_L[k, l] with
+    C_L[k, l] = sum_i M^A_k[i] M^B_l[i - L], M_k[i] = sum w u^k/k! over
+    box i, and H_(n+1) = 2z H_n - 2n H_(n-1).
 
-    The shallow sub-sum cuts on the octave boundary 2^-o_sh: it covers
-    the in-band pairs of the octave pairs with oa < o_sh and ob < o_sh
-    admitted at 2^-o_sh * 1e-2 (which must not undercut pair_floor), the
-    pair set of the same sum over only the items of octave < o_sh with
-    that floor. Every bucket lies wholly on one side of the cut, so such
-    an octave pair adds its chunk sums to the shallow total as they are.
+    r = 1 needs 15 lags to reach the cut (29 at r = 1/2) and half the
+    boxes. K = 30: as |u_a - u_b| <= r, Cramer's inequality |H_n(z)|
+    e^(-z^2/2) <= 1.0865 2^(n/2) sqrt(n!) (A&S 22.14.17) bounds the orders
+    n >= K by 1.0865 (r sqrt 2)^K / sqrt(K!) / (1 - r sqrt(2/(K+1))) =
+    2.9e-12 per unit pair weight. The cut 6.6: the pairs of the lags
+    |L| > 7 lie more than 7 r apart and add at most e^(-6.6^2) = 1.2e-19
+    per unit pair weight, far below the Cramer term. _PAIR_REM is the sum.
 
-    Returns (sum, floor_mass_bound, shallow_sum), where the second term
-    bounds the mass skipped by the pair floor (octave pair count times
-    floor).
+    Work and memory follow the items, not the span: the occupied boxes of
+    both sides are numbered in order, each gap longer than 8 boxes shrunk
+    to 8, so every pair within reach keeps its lag and no other comes into
+    reach. Each block of 2,048 boxes of that numbering builds both sides'
+    moments there and 7 boxes beyond (np.bincount per order) and multiplies
+    them 256 boxes at a time, which measured the same bits and time at
+    OPENBLAS_NUM_THREADS = 1 and 2 on a 2-core Xeon VM (a product over
+    8,192 boxes ran up to 15 times slower at 2).
+
+    sup G_B is bounded from the box masses M_0: a point in box i lies at
+    least (|L| - 1) r from every item of box i - L, so G_B there is at most
+    sum_(|L|<=7) e^(-((|L|-1) r)^2) M^B_0[i - L], plus e^(-6.6^2) sum w_b
+    for the items beyond; shrunk gaps bring no box nearer.
     """
-    xA_s, wA_s, a_starts = blocks_a
-    xB_s, wB_s, b_starts = blocks_b
-    total = 0.0
-    skipped = 0.0
-    total_sh = 0.0
-    chunk = 8_000_000
-    for oa in range(61):
-        a_lo, a_hi = a_starts[oa], a_starts[oa + 1]
-        if a_hi == a_lo:
-            continue
-        for ob in range(61):
-            b_lo, b_hi = b_starts[ob], b_starts[ob + 1]
-            if b_hi == b_lo:
-                continue
-            pair_w = 2.0 ** (-int(oa + ob))
-            if pair_w < pair_floor:
-                skipped += pair_w * int(min(a_hi - a_lo, b_hi - b_lo))
-                continue
-            shallow = oa < o_sh and ob < o_sh and pair_w >= 2.0**-o_sh * 1e-2
-            a = xA_s[a_lo:a_hi], wA_s[a_lo:a_hi]
-            b = xB_s[b_lo:b_hi], wB_s[b_lo:b_hi]
-            (sx, sw), (lx, lw) = (a, b) if a_hi - a_lo <= b_hi - b_lo else (b, a)
-            lo = np.searchsorted(lx, -band - sx)
-            lens = np.searchsorted(lx, band - sx) - lo
-            csum = np.zeros(len(lens) + 1, dtype=np.int64)
-            np.cumsum(lens, out=csum[1:])
-            pos = 0
-            while pos < len(lens) and csum[pos] < csum[-1]:
-                end = int(np.searchsorted(csum, csum[pos] + chunk))
-                end = min(max(end, pos + 1), len(lens))
-                L = lens[pos:end]
-                # index into the larger bucket of each pair in this chunk
-                flat = np.arange(csum[end] - csum[pos]) + np.repeat(
-                    lo[pos:end] - (csum[pos:end] - csum[pos]), L
-                )
-                terms = np.exp(-((np.repeat(sx[pos:end], L) + lx[flat]) ** 2) * inv4eps2)
-                terms *= np.repeat(sw[pos:end], L) * lw[flat]
-                part = float(np.sum(terms))
-                total += part
-                if shallow:
-                    total_sh += part
-                pos = end
-    return total, skipped, total_sh
+    sides = []
+    for s, w in ((s_a, w_a), (s_b, w_b)):
+        key = s / _BOX_R
+        key += 0.5
+        np.floor(key, out=key)  # box i holds (i - 1/2) r <= s < (i + 1/2) r
+        start = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1, [len(s)]))
+        sides.append([s, w, start, key[start[:-1]]])
+        del key
+    occ = np.union1d(sides[0][3], sides[1][3])
+    pos = _LAGS + np.concatenate(
+        ([0], np.cumsum(np.minimum(np.diff(occ), _LAGS + 1)))).astype(np.int64)
+    for side in sides:
+        side.append(pos[np.searchsorted(occ, side[3])])
+    lags = np.arange(-_LAGS, _LAGS + 1)
+    reach = np.exp(-((np.maximum(np.abs(lags) - 1, 0) * _BOX_R) ** 2))
+    ma, mb = moments = np.empty((2, _BOX_BLOCK + 2 * _LAGS, _ORDERS))
+    cross = np.zeros((len(lags), _ORDERS, _ORDERS))  # C_L
+    sup = np.zeros(2)
+    for lo in range(-_LAGS, int(pos[-1]) + 1, _BOX_BLOCK):
+        for (s, w, start, key, comp), m in zip(sides, moments):
+            # m[j - lo, k] = sum w u^k/k! over the boxes j in [lo, lo + len(m))
+            r0, r1 = np.searchsorted(comp, (lo, lo + len(m)))
+            lengths = np.diff(start[r0 : r1 + 1])
+            idx = np.repeat(comp[r0:r1] - lo, lengths)
+            u = s[start[r0] : start[r1]] - np.repeat(key[r0:r1] * _BOX_R, lengths)
+            p = w[start[r0] : start[r1]].copy()
+            for k in range(_ORDERS):
+                m[:, k] = np.bincount(idx, p, minlength=len(m))
+                p *= u
+                p /= k + 1
+        ma_t = ma[_LAGS : _LAGS + _BOX_BLOCK].reshape(-1, _GEMM_BOXES, _ORDERS).transpose(0, 2, 1)
+        g = np.zeros((2, _BOX_BLOCK))
+        for i, L in enumerate(lags):
+            shifted = slice(_LAGS - L, _LAGS - L + _BOX_BLOCK)
+            cross[i] += (ma_t @ mb[shifted].reshape(-1, _GEMM_BOXES, _ORDERS)).sum(axis=0)
+            g += reach[i] * moments[:, shifted, 0]
+        sup = np.maximum(sup, g.max(axis=1))
+    z = lags * _BOX_R
+    h = np.zeros((_ORDERS, len(z)))
+    h[0] = np.exp(-z * z)
+    for n in range(_ORDERS - 1):  # at n = 0, h[n - 1] is the last row, still 0
+        h[n + 1] = 2.0 * z * h[n] - 2.0 * n * h[n - 1]
+    k = np.arange(_ORDERS)
+    n = k[:, None] + k[None, :]  # weights[L, k, l] = (-1)^k h_(k+l)(L r) for k + l < K
+    weights = np.where(n < _ORDERS, (-1.0) ** k[:, None] * h.T[:, np.minimum(n, _ORDERS - 1)], 0.0)
+    tail = math.exp(-_Z_CUT**2)
+    return (float(np.sum(weights * cross)), float(sup[0]) + tail * float(np.sum(w_a)),
+            float(sup[1]) + tail * float(np.sum(w_b)))
 
 
 def _series_sum(
     model: LFunctionModel, X: float, eps: float, delta: float, which: str
 ) -> tuple[float, float]:
     """(S, allowance) for one moment, from one enumeration at the floor
-    delta and one pair sum over it.
+    delta and one box sum over it.
 
     S = sum over offset vectors f of prod_i w_i(f_i) * exp(-(sum f_i log p_i)^2
-    / (4 eps^2)). The allowance is formed here: the out-of-band Gaussian and
-    pair-floor masses, twice the depth gap to the items above the octave
-    boundary 2^-o_sh, the first at or below 100 delta (the pair sum's
-    shallow sub-sum, so both cuts share one split into halves and one pass
-    over the in-band pairs), and the weight the floor dropped (closed-form
-    total minus the enumerated mass) times 4 times the rate at which the
-    mass between the two cuts entered the Gaussian band. Each half's
-    octaves, computed once, class its items for the shallow mass and the
-    pair sum alike. The masses are summed before the half is sorted into
-    octave blocks, and only the sorted copies stay alive through the pair sum.
+    / (4 eps^2)). The primes split into halves A and B of about equal
+    table size. Each half is enumerated, scaled to s = x/(2 eps) (B
+    reflected, s = -x/(2 eps)) and sorted, its unsorted copies freed
+    before the next; `_box_sum` then adds every pair. The weights are
+    non-negative, and the allowance bounds the distance from S to the sum
+    over all of Z^pi, up to rounding, by three stated terms: the lag cut
+    and the Cramer remainder, _PAIR_REM times mass_A mass_B (the
+    enumerated masses), and the weight the floor dropped. With
+    d_A = total_A - mass_A, total_A the product of its primes' closed-form
+    `_weight_table` totals, the dropped pairs add at most
+    d_A (sup G_B + d_B) + d_B sup G_A, sup G bounded by `_box_sum`.
     """
-    tabs = []
-    total = 1.0
-    for p in (int(v) for v in primes_upto(int(X))):
-        table, table_total = _weight_table(model, p, q_of_prime(p, X), delta, which)
-        tabs.append((math.log(p), table))
-        total *= table_total
-    # widest tables first keeps intermediate enumeration arrays small
-    tabs.sort(key=lambda t: -len(t[1]))
     halves: tuple[list, list] = ([], [])
-    sizes = [0.0, 0.0]
-    for logp, table in tabs:
+    sizes, totals = [0.0, 0.0], [1.0, 1.0]
+    tabs = [(math.log(p), *_weight_table(model, p, q_of_prime(p, X), delta, which))
+            for p in (int(v) for v in primes_upto(int(X)))]
+    # widest tables first keeps intermediate enumeration arrays small
+    for logp, table, table_total in sorted(tabs, key=lambda t: -len(t[1])):
         k = 0 if sizes[0] <= sizes[1] else 1
         halves[k].append((logp, table))
         sizes[k] += math.log(len(table))
-    o_sh = math.ceil(math.log2(1.0 / (100.0 * delta)))  # 2^-o_sh <= 100 delta
-    blocks, masses, masses_sh, scales = [], [], [], []
-    for h in halves:
-        x, w, half_scale = _enumerate_half(h, delta)
-        octave = _octaves(w)
-        masses.append(float(np.sum(w)))
-        masses_sh.append(float(np.sum(w[octave < o_sh])))
+        totals[k] *= table_total
+    sides, masses, scales = [], [], []
+    for sign, half in zip((1.0, -1.0), halves):
+        x, w, half_scale = _enumerate_half(half, delta)
+        x *= sign / (2.0 * eps)
+        order = np.argsort(x)
+        x = x[order]
+        w = w[order]
+        del order
+        sides += [x, w]
+        masses.append(float(np.sum(w)) * half_scale)
         scales.append(half_scale)
-        blocks.append(_octave_blocks(x, w, octave))
-        del x, w, octave
-    scale = scales[0] * scales[1]
-    g_tol = 1e-18
-    band = 2.0 * eps * math.sqrt(math.log(1.0 / g_tol))
-    inv4eps2 = 1.0 / (4.0 * eps * eps)
-    s, skipped, s_sh = _banded_sum(*blocks, inv4eps2, band, delta * 1e-2, o_sh)
-    mass = masses[0] * masses[1] * scale
-    gap = abs(s * scale - s_sh * scale)
-    mass_sh = masses_sh[0] * masses_sh[1] * scale
-    marginal = mass - mass_sh
-    rate = gap / marginal if marginal > 0 else 0.0
-    dropped = max(0.0, total - mass) * 4.0 * rate
-    return s * scale, g_tol * mass + skipped * scale + 2.0 * gap + dropped
+    s, sup_a, sup_b = _box_sum(*sides)
+    d_a, d_b = (max(0.0, t - m) for t, m in zip(totals, masses))
+    dropped = d_a * (sup_b * scales[1] + d_b) + d_b * sup_a * scales[0]
+    return s * scales[0] * scales[1], _PAIR_REM * masses[0] * masses[1] + dropped
 
 
 def moment_series(
@@ -437,20 +434,20 @@ def moment_series(
     grouped by per-prime exponent differences, common-divisor directions
     carry closed geometric sums, and the remaining enumeration is cut at
     a weight floor derived from n_cutoff (floor = n_cutoff^-2, clamped).
-    Each moment is one `_series_sum` call, which forms its own allowance
-    from one pair sum (out-of-band and pair-floor mass, the depth gap to a
-    shallower cut on the weight-octave boundary 2^-o_sh, o_sh =
-    ceil(log2(1/(100 floor))), read from the same pair sum, and the
-    dropped mass scaled by the measured band-entry rate); truncation_bound
-    is sqrt(pi)/eps times their sum. It grows, and never silently, when
-    n_cutoff is too small for the requested accuracy. Costs rise steeply
-    with X (weights approach 1); X <= 50 is the supported range. Measured
-    for zeta at T = 5000 on a 2-core Xeon VM (numpy 2.4), one process per
-    run, with its peak RSS: n_cutoff 1e5 takes about 1.1 s and 84 MB at
-    X = 18, 5 s and 175 MB at X = 20 and 17 s and 330 MB at X = 22; at
-    X = 30, n_cutoff 1e4 exceeds the 12M-item enumeration budget
-    (ResourceError after 1.0 s and 357 MB) and n_cutoff 1e3 takes about
-    150 s and 0.8 GB for truncation_bound/I2 = 0.45.
+    Each moment is one `_series_sum` call, one enumeration and one
+    box-moment pair sum. truncation_bound, sqrt(pi)/eps times the sum of
+    both moments' allowances, is rigorous up to rounding: its three terms
+    are the lag cut, the Cramer remainder of the Taylor orders >= 30, and
+    the weight the floor dropped. It grows, and never silently, when
+    n_cutoff is too small for the requested accuracy. X <= 50 is the
+    supported range, but the 12M-item enumeration budget binds first.
+    Measured for zeta at T = 5000 on a 2-core Xeon VM (numpy 2.4), one
+    process per run, with its peak RSS and truncation_bound/I2: n_cutoff
+    1e5 takes 0.8 s and 71 MB at X = 18 (2.5e-5), 2.4 s and 164 MB at
+    X = 20 (3.9e-5) and 4.7 s and 285 MB at X = 22 (3.4e-5), and exceeds
+    the budget at X = 25; n_cutoff 1e4 takes 11 s and 590 MB at X = 25
+    (3.1e-3) and exceeds it at X = 30, where n_cutoff 1e3 takes 11 s and
+    0.66 GB for 0.24. So the practical limit is about X = 25.
     """
     if X > X_MOMENTS_MAX:
         raise DomainError(f"moment integrals support X <= {X_MOMENTS_MAX}, got {X}")
@@ -532,7 +529,8 @@ def _simpson_levels(
             if hi == 4 * n + 1:
                 w[-1] = 1.0
             for c, v in enumerate(vals):
-                level[c] += float(np.dot(w, v[::stride]))
+                # einsum, not the BLAS dot, whose sum order follows BLAS threads
+                level[c] += float(np.einsum("i,i->", w, v[::stride]))
     return [tuple(s * k * h / 3.0 for s in level) for level, k in zip(sums, strides)]
 
 

@@ -336,6 +336,7 @@ class TestThreadsEnv:
         ["mertens", "--model", "zeta", "--x", "1e5", "--format", "csv"],
         ["scan", "--model", "zeta", "--t-min", "171", "--t-max", "172",
          "--step", "0.01", "--Y", "1e4", "--top-k", "3", "--format", "csv"],
+        ["moments", "--X", "14", "--n-cutoff", "1e4", "--format", "csv"],
     ])
     def test_worker_count_independent(self, cmd, tmp_path):
         outputs = []
@@ -346,6 +347,20 @@ class TestThreadsEnv:
                 capture_output=True, env=env, check=True,
             )
             # strip the header line (it embeds the thread count)
+            outputs.append(proc.stdout.split(b"\n", 1)[1])
+        assert outputs[0] == outputs[1]
+
+    def test_moments_independent_of_blas_threads(self):
+        # the series' matrix products and the quadrature's sums must not
+        # depend on OpenBLAS's own thread count
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "olx.cli", "moments", "--X", "14",
+                 "--n-cutoff", "1e4", "--format", "csv"],
+                capture_output=True, env=env, check=True,
+            )
             outputs.append(proc.stdout.split(b"\n", 1)[1])
         assert outputs[0] == outputs[1]
 

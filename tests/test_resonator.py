@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,11 +9,10 @@ import olx.resonator as resonator
 from olx.errors import DomainError, ResourceError
 from olx.lfamily import EULER_GAMMA
 from olx.resonator import (
-    _banded_sum,
+    _PAIR_REM,
+    _box_sum,
     _enumerate_half,
     _integrand_sums,
-    _octave_blocks,
-    _octaves,
     _series_sum,
     _simpson_levels,
     asymptotic_bound,
@@ -25,12 +25,6 @@ from olx.resonator import (
 )
 
 E_POW_E = math.exp(math.e)
-
-
-def banded_sum(xA, wA, xB, wB, *rest):
-    """_banded_sum over unsorted items."""
-    return _banded_sum(_octave_blocks(xA, wA, _octaves(wA)),
-                       _octave_blocks(xB, wB, _octaves(wB)), *rest)
 
 
 class TestConfig:
@@ -150,97 +144,40 @@ class TestResonator:
             assert abs(got / math.exp(-((eps * tk) ** 2)) / abs(R) ** 2 - 1) < 1e-12
 
 
-class TestBandedSum:
-    """The pair kernel of the series path against a direct O(N*M) sum."""
+class TestBoxSum:
+    """The box-moment pair sum against a direct O(N*M) sum."""
 
-    BAND = 0.05
-    INV4EPS2 = math.log(1e18) / BAND**2  # g = 1e-18 at the band edge
-    FLOOR = 1e-9  # cuts octave pairs with oa + ob >= 30
-    SHALLOW = 11  # cut octave: items above 2^-11; admits octave pairs with oa + ob <= 17
-
-    @staticmethod
-    def items(rng, n):
-        # weights over 40 octaves, x spread wide enough that most windows are empty
-        return rng.uniform(-3.0, 3.0, n), 2.0 ** -rng.uniform(0.0, 40.0, n)
-
-    def test_matches_direct_sum(self):
+    def test_matches_brute_force_pair_sum(self):
         rng = np.random.default_rng(20190)
-        xA, wA = self.items(rng, 400)
-        xB, wB = self.items(rng, 250)
-        octA = np.minimum(np.floor(-np.log2(wA)), 60).astype(int)
-        octB = np.minimum(np.floor(-np.log2(wB)), 60).astype(int)
-        nA = np.bincount(octA, minlength=61)
-        nB = np.bincount(octB, minlength=61)
-        admitted = 2.0 ** -(np.arange(61)[:, None] + np.arange(61)[None, :]) >= self.FLOOR
-        both = admitted & (nA[:, None] > 0) & (nB[None, :] > 0)
-        # blocks lopsided both ways, and some cut by the floor
-        assert (both & (nA[:, None] > nB[None, :])).any()
-        assert (both & (nA[:, None] < nB[None, :])).any()
-        assert (~admitted & (nA[:, None] > 0) & (nB[None, :] > 0)).any()
+        # clustered halves, so most pairs lie within reach of each other,
+        # with weights over 30 octaves
+        sA = rng.uniform(-12.0, 12.0, 500)
+        sB = rng.uniform(-12.0, 12.0, 300)
+        # items exactly on box edges, each side of the origin
+        sA = np.concatenate([sA, [-3.5, 0.5, 4.5, 20.5]])
+        sB = np.concatenate([sB, [-0.5, 2.5, 41.5]])
+        # pairs at the lag cut: gaps 6.5, 7.4, 7.6 and 8.5 from the item at
+        # 20.5 (box 21) fall in lags 6, 7, 7 and 8, the last one beyond it
+        sB = np.concatenate([sB, 20.5 + np.array([6.5, 7.4, 7.6, 8.5])])
+        wA = 2.0 ** -rng.uniform(0.0, 30.0, len(sA))
+        wB = 2.0 ** -rng.uniform(0.0, 30.0, len(sB))
+        a, b = np.argsort(sA), np.argsort(sB)
+        sA, wA, sB, wB = sA[a], wA[a], sB[b], wB[b]
+        diff = sA[:, None] - sB[None, :]
+        direct = float(wA @ np.exp(-diff**2) @ wB)
+        remainder = _PAIR_REM * float(np.sum(wA)) * float(np.sum(wB))
+        assert remainder < 1e-10 * direct
 
-        s = xA[:, None] + xB[None, :]
-        keep = (np.abs(s) <= self.BAND) & admitted[octA[:, None], octB[None, :]]
-        assert keep.any() and not keep.any(axis=1).all()  # some windows are empty
-        terms = wA[:, None] * wB[None, :] * np.exp(-(s**2) * self.INV4EPS2)
-        direct = float(np.sum(terms[keep]))
-        skipped = 0.0  # octave pair count times the pair weight, in kernel order
-        for oa in range(61):
-            for ob in range(61):
-                if nA[oa] and nB[ob] and not admitted[oa, ob]:
-                    skipped += 2.0 ** (-(oa + ob)) * int(min(nA[oa], nB[ob]))
-
-        total, floor_mass, _ = banded_sum(
-            xA, wA, xB, wB, self.INV4EPS2, self.BAND, self.FLOOR, self.SHALLOW)
-        assert abs(total / direct - 1.0) < 1e-13
-        assert floor_mass == skipped
-        swapped, _, _ = banded_sum(
-            xB, wB, xA, wA, self.INV4EPS2, self.BAND, self.FLOOR, self.SHALLOW)
-        assert abs(swapped / total - 1.0) < 1e-14
-
-    def test_shallow_sub_sum(self):
-        rng = np.random.default_rng(20190)  # the seeded case above
-        xA, wA = self.items(rng, 400)
-        xB, wB = self.items(rng, 250)
-        # items on the cut 2^-SHALLOW and one ulp to each side of it, each in
-        # band with an item of octave < 4 (a pair the shallow floor admits)
-        edge = 2.0**-self.SHALLOW
-        on_cut = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)])
-        octB = np.minimum(np.floor(-np.log2(wB)), 60).astype(int)
-        xA = np.concatenate([xA, 0.01 - xB[octB < 4][:3]])
-        wA = np.concatenate([wA, on_cut])
-        octA = np.minimum(np.floor(-np.log2(wA)), 60).astype(int)
-        nA = np.bincount(octA, minlength=61)
-        nB = np.bincount(octB, minlength=61)
-        o = np.arange(61)
-        admitted = 2.0 ** -(o[:, None] + o[None, :]) >= edge * 1e-2
-        above = (o[:, None] < self.SHALLOW) & (o[None, :] < self.SHALLOW)
-        both = admitted & (nA[:, None] > 0) & (nB[None, :] > 0)
-        # admitted octave pairs wholly above the cut and with a side below it
-        assert (both & above).any() and (both & ~above).any()
-
-        s = xA[:, None] + xB[None, :]
-        deep = wA[:, None] * wB[None, :] * np.exp(-(s**2) * self.INV4EPS2)
-        in_band = (np.abs(s) <= self.BAND) & admitted[octA[:, None], octB[None, :]]
-        keep = in_band & above[octA[:, None], octB[None, :]]
-        assert (in_band[-3:] & (octB < 4)[None, :]).any(axis=1).all()
-        direct = float(np.sum(deep[keep]))
-
-        _, _, shallow = banded_sum(
-            xA, wA, xB, wB, self.INV4EPS2, self.BAND, self.FLOOR, self.SHALLOW)
-        assert abs(shallow / direct - 1.0) < 1e-13
-        ka, kb = octA < self.SHALLOW, octB < self.SHALLOW
-        filtered, _, _ = banded_sum(xA[ka], wA[ka], xB[kb], wB[kb], self.INV4EPS2,
-                                    self.BAND, edge * 1e-2, self.SHALLOW)
-        assert abs(shallow / filtered - 1.0) < 1e-14
-
-        # the pair sum and the shallow mass of _series_sum class each item
-        # on the cut, and a control above it, the same way
-        for w in (*on_cut, 2.0 ** -(self.SHALLOW - 0.5)):
-            _, _, pair = banded_sum(np.zeros(1), np.array([w]), np.zeros(1), np.ones(1),
-                                    self.INV4EPS2, self.BAND, self.FLOOR, self.SHALLOW)
-            assert pair in (0.0, w)
-            ws = np.array([w])  # the shallow mass as _series_sum takes it
-            assert float(np.sum(ws[_octaves(ws) < self.SHALLOW])) == pair
+        S, sup_a, sup_b = _box_sum(sA, wA, sB, wB)
+        assert abs(S - direct) <= remainder
+        swapped = _box_sum(sB, wB, sA, wA)
+        assert abs(swapped[0] - direct) <= remainder
+        assert swapped[1:] == (sup_b, sup_a)
+        # the sup bounds hold on a grid finer than the boxes, out past both ends
+        y = np.linspace(-30.0, 60.0, 90_001)
+        for s, w, bound in ((sA, wA, sup_a), (sB, wB, sup_b)):
+            g = np.array([float(w @ np.exp(-(s - yk) ** 2)) for yk in y[::7]])
+            assert g.max() <= bound < 4.0 * g.max()
 
 
 def one_shot_enumeration(half, delta):
@@ -336,8 +273,8 @@ class TestOnePassPerMoment:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(resonator, "_banded_sum",
-                            counting("pairs", resonator._banded_sum))
+        monkeypatch.setattr(resonator, "_box_sum",
+                            counting("pairs", resonator._box_sum))
         monkeypatch.setattr(resonator, "local_coefficients",
                             counting("coefficients", resonator.local_coefficients))
         moment_series(zeta, 10.0, 5000.0, 10**4)
@@ -435,6 +372,28 @@ class TestMoments:
         deep = moment_series(zeta, 10.0, 5000.0, 10**5)
         shallow = moment_series(zeta, 10.0, 5000.0, 30)
         assert shallow.truncation_bound > deep.truncation_bound
+
+    @pytest.mark.parametrize("fixture", ["zeta", "rs_small"])
+    def test_allowance_covers_the_dropped_mass(self, fixture, request):
+        # n_cutoff 30 sets the floor 1e-4 and n_cutoff 1e5 the floor 1e-10:
+        # the shallow allowance must cover what the deeper series adds
+        model = request.getfixturevalue(fixture)
+        shallow = moment_series(model, 10.0, 5000.0, 30)
+        deep = moment_series(model, 10.0, 5000.0, 10**5)
+        assert abs(shallow.I1 - deep.I1) <= shallow.truncation_bound
+        assert abs(shallow.I2 - deep.I2) <= shallow.truncation_bound
+
+    def test_large_T_keeps_only_the_diagonal(self, zeta):
+        # at eps = 2.8e-11 only m = n pairs survive, so I2 is the diagonal
+        # product; the items span about 1e12 boxes, which the pair sum
+        # must not walk
+        X, T = 10.0, 1e12
+        start = time.perf_counter()
+        ms = moment_series(zeta, X, T, 10**4)
+        assert time.perf_counter() - start < 10.0
+        norm = math.sqrt(math.pi) / resonator_config(T).eps
+        diagonal = math.prod(1.0 / (1.0 - q_of_prime(p, X) ** 2) for p in (2, 3, 5, 7))
+        assert abs(ms.I2 - norm * diagonal) <= ms.truncation_bound
 
     def test_series_x_cap(self, zeta):
         with pytest.raises(DomainError):
