@@ -11,18 +11,37 @@ conj h) of the conjugated Hermitian half h[l] = conj(g[l]) + g[nf - l],
 0 <= l <= nf/2. So g is never formed. A term at grid position x > nf/2 is
 mirrored to y = nf - x (exact, by Sterbenz's lemma) and keeps its
 amplitude; any other term keeps y = x and is conjugated. Its taps then
-fall on cells floor(y) -+ 13 of a half grid padded by _HALF_WIDTH cells at
+fall on cells floor(y) -+ 17 of a half grid padded by _HALF_WIDTH cells at
 each end, and the padding is folded back conjugated, cell -c onto c and
 cell nf/2 + c onto nf/2 - c, where g's cells nf - c and nf/2 + c belong.
 h[0] and h[nf/2], each its own partner, are doubled to their real parts.
 
-Fast Gaussian gridding (Greengard & Lee, section 3) gives a term's 27 taps
+Grid size and kernel. n outputs spread on nf = grid_cells(n) cells, the
+smallest 3 * 2^k >= 1.5 n (at least 96), so the oversampling is
+sigma = nf/n >= 1.5 and the outputs, centred, lie within n/2 <= nf/3 of
+the centre. The bound below is written in r = n/nf: r = 2/3 at n = 2^k,
+about 1/3 at n = 2^k + 1 (which spreads on 3 * 2^k cells, oversampled
+about 3 times), and smaller still below 33 points. Each constant has its
+reason:
+  * sigma = 1.5: numpy's pocketfft transforms 3 * 2^k cells with one
+    radix-3 pass, and the transform is most of a chunk's time. One irfft
+    over 3 * 2^18 cells took 11-15 ms on a 2-core Xeon (numpy 2.4), against
+    23-30 ms over the 2^20 cells of sigma = 2. sigma = 1.25 (5 * 2^k) is
+    out of reach for a Gaussian: at aliasing 1e-11 its band edge would
+    amplify by about 6e8.
+  * tau = 2.1: the worst aliased image is e^(-4 pi^2 tau/3) (below), about
+    1e-12 here; tau = 1.92 gives 1.1e-11, which the unit-coefficient sweep
+    in the tests (1e-11) fails. A wider kernel only costs, since the band
+    edge amplifies every rounding by up to e^(4 pi^2 tau/9) = 1.0e4.
+  * half-width 17 (35 taps): the truncation term stays at 2.3e-12, the
+    size of the aliasing; 16 would make it 1.2e-10.
+Fast Gaussian gridding (Greengard & Lee, section 3) gives a term's 35 taps
 from two exp calls: with f = y - floor(y) in [0, 1),
 e^(-(d - f)^2/4 tau) = e^(-f^2/4 tau) (e^(f/2 tau))^d C_|d|, where the
 power runs up by products for d > 0 and down by quotients for d < 0 and
-C_d = e^(-d^2/4 tau) is a constant table of 14 entries.
+C_d = e^(-d^2/4 tau) is a constant table of 18 entries.
 
-Each thread keeps its padded half grid (16 (nf/2 + 27) bytes) and its
+Each thread keeps its padded half grid (16 (nf/2 + 35) bytes) and its
 transform output (8 nf bytes) from one call to the next while nf stays the
 same, so a scan's chunks write into pages already mapped; the values
 returned are a fresh array on every call.
@@ -30,53 +49,70 @@ returned are a fresh array on every call.
 The spreading is cyclic and exp(-i j theta) is 2 pi-periodic in the phase
 step theta = step * w_k, so each phase step is reduced modulo 2 pi before
 spreading (which leaves every theta below 2 pi unchanged) and any step is
-admissible. Everything is deterministic for fixed inputs.
+admissible. A term's cells depend on theta and nf only, not on t0, so one
+count of the taps per cell (busiest_cell) serves every chunk of a scan.
+Everything is deterministic for fixed inputs.
 
 Error bound (u = 2^-53, K terms, |t| <= t_abs at every grid point).
 error_bound bounds |values[j] - v|, v the sum evaluated directly in floating
 point at t0 + j step, by (a) + (b) + (c):
-  (a) spread and transform, per unit of sum |c_k|: outputs lie within nf/4
-      of the centre, where deconvolution amplifies by at most
-      1/_EDGE = e^(tau pi^2/4) = 31.6. Relative to that, the aliased kernel
-      images (Poisson summation) add at most _ALIASING = 1.0e-12, the taps
-      past the half-width _TRUNCATION = 6.0e-13 (a tap set floor(y) -+ 13
-      leaves out taps at distances above 13 on one side and 14 on the
-      other, mirrored or not), and rounding
-      (2K + 2 log2 nf + 16 + _CHAIN) u/_EDGE, _CHAIN = 2.36 (_HALF_WIDTH + 1).
-      A term's 27 taps fall in 27 distinct cells of the padded half grid,
-      and a cell of h adds at most one folded padding cell to its own
-      (nf >= 64 keeps the two folds apart), so
-      at most 2K taps add into one cell (two from one term where its taps
-      straddle cell 0 or nf/2), and each transform stage and each kernel,
-      phase and deconvolution factor rounds once. The tap recurrence adds
-      _CHAIN: e^(f/2 tau) is within 1.36u (its argument, below 0.36,
-      rounds once), so each step of the power adds 2.36u, and
-      e^(-f^2/4 tau)'s argument adds 0.36u and C_|d| and the product with
-      it 1u each; a tap d cells out carries 2.36 (|d| + 1) u at most.
-      C_|d|'s own argument rounds no more than the direct exponent it
-      replaces. At the zeta scan t 10..1e6, step 0.05, Y = 1e5 (K = 32066,
-      sum |c_k| = 3.02) this term comes to 6.8e-10, and grid_scan's eps
-      moves from 2.49770e-8 (one exp per tap, 2^20-point chunks) to
-      2.49773e-8 (the recurrence, 2^19-point chunks); the grid values
-      there moved by at most 6e-15;
+  (a) spread and transform, per unit of sum |c_k|: outputs lie within
+      r nf/2 of the centre, r = n/nf <= 2/3, where deconvolution amplifies
+      by at most 1/edge = e^(tau (pi r)^2): 1.0e4 at r = 2/3 and 10 at
+      r = 1/3. Relative to that, the aliased kernel images (Poisson
+      summation; image l at output j is e^(-4 pi^2 tau (l^2 + 2 l j/nf)) of
+      the kernel transform, and 2|j|/nf <= r leaves l^2 - r|l|) add at most
+      1.0e-12 at r = 2/3 and 1e-24 at r = 1/3, the taps past the half-width
+      _TAIL/edge, 2.3e-12 at r = 2/3 (a tap set floor(y) -+ 17 leaves out
+      taps at distances above 17 on one side and 18 on the other, mirrored
+      or not), and rounding (M + 2 ceil(log2 nf) + 16 + _CHAIN) u/edge,
+      _CHAIN = 2.24 (_HALF_WIDTH + 1).
+      M is the most taps that add into one cell of h. A cell of h adds at
+      most one folded padding cell to its own (nf >= 96 keeps the two folds
+      apart), so M <= 2K (two taps from one term where its taps straddle
+      cell 0 or nf/2); given the step, error_bound counts M per cell, folds
+      included, instead. Each transform stage and each kernel, phase and
+      deconvolution factor rounds once, the radix-3 pass counted as two
+      stages. The tap recurrence adds _CHAIN: e^(f/2 tau) is within 1.24u
+      (its argument, below 0.24, rounds once), so each step of the power
+      adds 2.24u, and e^(-f^2/4 tau)'s argument adds 0.24u and C_|d| and
+      the product with it 1u each; a tap d cells out carries
+      2.24 (|d| + 1) u at most. C_|d|'s own argument rounds no more than
+      the direct exponent it replaces. M is small only where the terms
+      spread over many cells: their positions step w_k nf/(2 pi), reduced
+      modulo nf, must span far more than the 35 cells of one term's taps.
+      At the zeta scan t 10..1e6, step 0.05, Y = 1e5 (K = 32066,
+      sum |c_k| = 3.02) the busiest cell holds 56 taps on the 3 * 2^18
+      cells of a 2^19-point chunk and 198 on the 3 * 2^16 cells of the
+      last, 76,857-point one (r = 0.39, 1/edge = 24), so this term comes to
+      5.1e-10 and 2.3e-12, and grid_scan's eps to 2.4812e-8 (2.4e-7 with
+      M = 2K). At step 1e-4 the same terms span 501 cells of the 2^19-point
+      chunk's grid and M = 8,810; at step 1e-6 they span 5 and M = 2K =
+      64,132, so the term is 3.0e-8 and 2.2e-7, which (b) outgrows only
+      above t_abs = 1.2e6 and 8.9e6. So the 1.5x grid costs eps nothing
+      only while both hold: the terms spread over many cells, and t_abs is
+      large enough for (b) to dominate. Chunks of spaced_points(2^19) =
+      2^18 + 1 points (r = 1/3) on the same grid cut the term a
+      thousandfold, and scan.grid_scan takes them where they at least halve
+      its bound;
   (b) argument rounding, 20 u t_abs sum |c_k| w_k: a phase error d moves a
       term by at most |c_k| d, and this path (centre, product with w_k,
       reduced step, spreading position) and a direct evaluation (t, t w_k,
       log p) each round a phase a few times by u t_abs w_k. At t = 1e6,
-      Y = 1e5 this is about 3e-8;
-  (c) underflow, nf (2K + 2 log2 nf + 16 + _CHAIN) 2^-1072/_EDGE in absolute
-      terms: a product or quotient whose result is subnormal can miss by a
-      further 2^-1075 (sums there are exact), and an output gathers such
-      misses from every cell. The recurrence's own values lie in
-      [0.008, 104] and C_|d| >= 7.7e-14, so only the product with a
-      subnormal amplitude can underflow, as before, and (c) keeps the count
-      of (a). It matters only for sums of subnormal size: seeded sums
-      with coefficients down to 5e-324 stay within 0.13 of the whole bound,
-      and without (c) 251 of 600 of them exceeded it.
-Measured at n = 512: the real part of a unit coefficient comes out within
-0.7-1.7e-12 for theta up to 57.6 (bound 1.9e-12 to 6.7e-11) and 4.7e-12 at
-theta = 400 (bound 4.6e-10); a seeded sweep in the tests stays within the
-bound.
+      Y = 1e5 this is 2.4e-8, 98% of eps;
+  (c) underflow, nf (M + 2 ceil(log2 nf) + 16 + _CHAIN) 2^-1072/edge in
+      absolute terms: a product or quotient whose result is subnormal can
+      miss by a further 2^-1075 (sums there are exact), and an output
+      gathers such misses from every cell. The recurrence's own values lie
+      in [0.015, 51] and C_|d| >= 1.1e-15, so only the product with a
+      subnormal amplitude can underflow, and (c) keeps the count of (a). It
+      matters only for sums of subnormal size: 1,500 seeded sums (n up to
+      2,049) with coefficients of 5e-324 to 1e-305 stayed within 0.045 of
+      the whole bound, and without (c) 880 of them exceeded it.
+Measured at n = 512 (768 cells): the real part of a unit coefficient comes
+out within 0.7-1.7e-12 for theta up to 57.6 (bound 9.0e-11 to 1.6e-10) and
+4.0e-12 at theta = 400 (bound 5.4e-10); a seeded sweep in the tests stays
+within the bound.
 
 Selection tolerance. grid_scan's eps, which bounds |values[j] - log |F||
 for the standalone product F(1 + it; Y), adds to error_bound the mass that
@@ -107,16 +143,53 @@ import threading
 
 import numpy as np
 
-_TAU = 1.4
-_HALF_WIDTH = 13
+_TAU = 2.1
+_HALF_WIDTH = 17
 _U = 2.0**-53
-_EDGE = math.exp(-_TAU * (math.pi / 2) ** 2)  # kernel transform at |j| = nf/4 over its peak
-_ALIASING = sum(math.exp(-4 * math.pi**2 * _TAU * (l * l + l / 2)) for l in (-3, -2, -1, 1, 2, 3))
-_TRUNCATION = sum(math.exp(-d * d / (4 * _TAU)) * (1 + (d > _HALF_WIDTH))
-                  for d in range(_HALF_WIDTH, 60)) / (math.sqrt(4 * math.pi * _TAU) * _EDGE)
-_CHAIN = 2.36 * (_HALF_WIDTH + 1)  # roundings a tap's recurrence adds, term (a)
+# the taps past the half-width, per unit of the deconvolution's factor (term (a))
+_TAIL = sum(math.exp(-d * d / (4 * _TAU)) * (1 + (d > _HALF_WIDTH))
+            for d in range(_HALF_WIDTH, 60)) / math.sqrt(4 * math.pi * _TAU)
+_CHAIN = (2 + 1 / (2 * _TAU)) * (_HALF_WIDTH + 1)  # roundings a tap's recurrence adds, term (a)
 _TAPS = np.exp(-np.arange(_HALF_WIDTH + 1) ** 2 / (4.0 * _TAU))  # C_d = e^(-d^2/4 tau)
 _THREAD = threading.local()
+
+
+def grid_cells(n: int) -> int:
+    """nf, the cells of the grid that n outputs spread on: the smallest
+    3 * 2^k >= 1.5 n, and at least 96, which keeps the two folds apart."""
+    return 3 << max(5, (n - 1).bit_length() - 1)
+
+
+def spaced_points(n: int) -> int:
+    """The most outputs, up to n >= 2, whose grid is oversampled about 3
+    times: 2^j + 1 of them spread on the 3 * 2^j cells of grid_cells."""
+    return 1 + (1 << ((n - 1).bit_length() - 1))
+
+
+def _positions(omegas: np.ndarray, step: float, nf: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each term's position y in [0, nf/2] on the half grid, and whether it
+    lies past nf/2 and is mirrored there. Depends on the step, not on t0."""
+    theta = np.mod(step * np.asarray(omegas, dtype=np.float64), 2.0 * math.pi)
+    x = theta * (nf / (2.0 * math.pi))
+    upper = x > nf // 2
+    return np.where(upper, nf - x, x), upper  # exact (Sterbenz)
+
+
+def busiest_cell(omegas: np.ndarray, step: float, nf: int) -> int:
+    """The most taps that add into one cell of h, folds included, when
+    these terms spread on an nf-cell grid at this step."""
+    m0 = np.sort(np.floor(_positions(omegas, step, nf)[0]))
+    w, top = _HALF_WIDTH, nf // 2
+
+    def taps_on(cell: np.ndarray) -> np.ndarray:  # a term taps every cell within w of m0
+        return np.searchsorted(m0, cell + w, "right") - np.searchsorted(m0, cell - w, "left")
+
+    # cell c of h also gets cell -c (1 <= c <= w) and cell nf - c (top - w <= c < top);
+    # between those folds a window of cells holds the most terms ending w past one
+    c = np.concatenate([np.arange(w + 1), np.arange(top - w, top + 1), np.minimum(m0 + w, top)])
+    count = (taps_on(c) + ((c >= 1) & (c <= w)) * taps_on(-c)
+             + ((c >= top - w) & (c < top)) * taps_on(nf - c))
+    return int(count.max())
 
 
 def exp_sum_on_grid(
@@ -129,17 +202,14 @@ def exp_sum_on_grid(
     """values[j] = Re sum_k coeffs[k] * exp(-i (t0 + j step) omegas[k])."""
     if len(omegas) == 0:
         return np.zeros(n)
-    theta = np.mod(step * np.asarray(omegas, dtype=np.float64), 2.0 * math.pi)
-    nf = 1 << max(6, int(math.ceil(math.log2(2 * n))))
+    nf = grid_cells(n)
     half = n // 2
     # centring the targets keeps the deconvolution band well conditioned
     amp = np.asarray(coeffs, dtype=np.complex128) * np.exp(
         -1j * (t0 + half * step) * omegas
     )
-    x = theta * (nf / (2.0 * math.pi))
     # a term past nf/2 spreads mirrored and unconjugated, any other conjugated
-    upper = x > nf // 2
-    y = np.where(upper, nf - x, x)  # exact (Sterbenz)
+    y, upper = _positions(omegas, step, nf)
     b = np.where(upper, amp, np.conj(amp))
     m0 = np.floor(y)
     f = y - m0
@@ -176,7 +246,7 @@ def exp_sum_on_grid(
 def _buffers(nf: int) -> tuple[np.ndarray, np.ndarray]:
     """This thread's padded half grid and transform output for an nf-cell
     grid, kept from its last call so that a scan's chunks write into pages
-    already mapped: a fresh pair at 2^20 cells is 4,096 page faults."""
+    already mapped: a fresh pair at 3 * 2^18 cells is 3,073 page faults."""
     held = getattr(_THREAD, "buffers", None)
     if held is None or len(held[1]) != nf:
         held = _THREAD.buffers = (np.empty(nf // 2 + 1 + 2 * _HALF_WIDTH, dtype=np.complex128),
@@ -193,12 +263,18 @@ def _deconvolution(n: int, nf: int) -> np.ndarray:
     return table
 
 
-def error_bound(coeffs: np.ndarray, omegas: np.ndarray, t_abs: float, n: int) -> float:
+def error_bound(coeffs: np.ndarray, omegas: np.ndarray, t_abs: float, n: int,
+                step: float | None = None) -> float:
     """Bound on the error of exp_sum_on_grid at up to n points within
-    |t| <= t_abs (see the module docstring)."""
+    |t| <= t_abs (see the module docstring). Given the step, term (a)
+    counts the taps of the busiest cell; without it, 2K."""
     mass = float(np.abs(coeffs).sum())
-    log2_nf = max(6, math.ceil(math.log2(2 * n)))
-    rounding = (2 * len(omegas) + 2 * log2_nf + 16 + _CHAIN) * _U / _EDGE
-    underflow = rounding * 2.0 ** (log2_nf - 1019)
+    nf = grid_cells(n)
+    r = n / nf  # outputs lie within r nf/2 of the centre
+    inv_edge = math.exp(_TAU * (math.pi * r) ** 2)  # the deconvolution's largest factor
+    aliasing = sum(math.exp(-4 * math.pi**2 * _TAU * (l * l + l * r)) for l in (-3, -2, -1, 1, 2, 3))
+    taps = 2 * len(omegas) if step is None else busiest_cell(omegas, step, nf)
+    rounding = (taps + 2 * math.ceil(math.log2(nf)) + 16 + _CHAIN) * _U * inv_edge
+    underflow = rounding * nf * 2.0**-1019
     phase = 20 * _U * t_abs * float(np.abs(coeffs * omegas).sum())
-    return (_ALIASING + _TRUNCATION + rounding) * mass + underflow + phase
+    return (aliasing + _TAIL * inv_edge + rounding) * mass + underflow + phase

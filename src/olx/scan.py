@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ResourceError
 from .evaluate import EXPANSION_DROP_MAX, T_MAX, euler_product_on_line, log_expansion
-from .expsum import error_bound, exp_sum_on_grid
+from .expsum import error_bound, exp_sum_on_grid, spaced_points
 from .lfamily import LFunctionModel
 from .primes import primes_upto
 from .resonator import asymptotic_bound
@@ -33,15 +33,17 @@ CANDIDATES_PER_RECORD = 64  # standalone products a scan may spend per record
 # grid points than top_k spends one per point: 10,001 products at Y = 1e5
 # took 3.0 s, so the budget's 64,000 would take about 19 s there.
 TOP_K_MAX = 1000
-# Points per exp_sum_on_grid call, whose real transform has 2 * _CHUNK cells.
-# The README zeta scan (2e7 points), in-process medians of 5 on a 2-core Xeon
-# (numpy 2.4), with peak RSS:
-#   chunk   1 thread          2 threads
-#   2^18    1.32 s,  58 MB    0.73 s,  78 MB
-#   2^19    1.08 s,  80 MB    0.61 s, 116 MB
-#   2^20    1.04 s, 124 MB    0.57 s, 192 MB
-# Each chunk pays a fixed 8 ms of spreading and set-up, which sinks 2^18;
-# 2^19 comes within 6% of 2^20 at half the memory per worker.
+# Points per exp_sum_on_grid call, whose real transform has
+# grid_cells(_CHUNK) = 3 * 2^18 cells. The README zeta scan (2e7 points),
+# in-process medians of 5 on a 2-core Xeon (numpy 2.4), two runs each, with
+# peak RSS:
+#   chunk   1 thread               2 threads
+#   2^18    1.45-1.47 s,  51 MB    0.88-0.96 s,  70 MB
+#   2^19    1.04-1.05 s,  71 MB    0.64-0.66 s, 100 MB
+#   2^20    1.10-1.36 s, 107 MB    0.63-0.75 s, 161 MB
+# Each chunk pays a fixed 12 ms of spreading and set-up (35 taps for each of
+# the 32,066 terms), which sinks 2^18; 2^20 gains nothing over 2^19 and takes
+# 1.5-1.6 times the memory.
 _CHUNK = 1 << 19
 
 
@@ -156,20 +158,38 @@ def grid_scan(
         )
     n_points = int(count)
     omega, coeff = log_expansion(model, Y)
+
+    # A chunk of 2^j + 1 points spreads on 3 * 2^j cells, oversampled about
+    # 3 times, where the deconvolution amplifies the grid's rounding 10
+    # times rather than up to 1.0e4 times (expsum docstring, term (a)). That
+    # rounding outgrows the phase term where the terms crowd into few cells
+    # (small step * w_k, small t). Such scans run in the largest such chunks
+    # up to _CHUNK points, at twice the transforms per point, when these at
+    # least halve the bound; the last one ends at the last grid point,
+    # overlapping the one before, so that it has that size too.
+    last = n_points - (n_points - 1) // _CHUNK * _CHUNK
+    bound = max(error_bound(coeff, omega, t_abs, m, step) for m in {min(_CHUNK, n_points), last})
+    chunk, overlap = _CHUNK, False
+    spaced = spaced_points(min(n_points, _CHUNK))
+    spaced_bound = error_bound(coeff, omega, t_abs, spaced, step)
+    if bound > 2.0 * spaced_bound:
+        chunk, overlap, bound = spaced, True, spaced_bound
+    n_chunks = (n_points + chunk - 1) // chunk
     # selection tolerance: grid value vs log standalone magnitude (expsum docstring)
     k = model.degree
     factor_rounding = (72 + 1.4 * (k - 1)) * k * float(np.sum(1.0 / primes_upto(int(Y))))
-    eps = (error_bound(coeff, omega, t_abs, min(_CHUNK, n_points))
+    eps = (bound
            + k * EXPANSION_DROP_MAX
            + 2.0**-53 * (factor_rounding + 24 * np.abs(coeff).sum() + 8))
 
     def chunk_survivors(ci: int) -> tuple[np.ndarray, np.ndarray]:
-        lo = ci * _CHUNK
-        re_log = exp_sum_on_grid(coeff, omega, t_min + lo * step, step, min(_CHUNK, n_points - lo))
+        lo = ci * chunk
+        start = min(lo, n_points - chunk) if overlap else lo
+        re_log = exp_sum_on_grid(coeff, omega, t_min + start * step, step,
+                                 min(chunk, n_points - start))[lo - start:]
         idx = _survivors(re_log, top_k, eps)
         return re_log[idx], lo + idx
 
-    n_chunks = (n_points + _CHUNK - 1) // _CHUNK
     workers = min(worker_cap(), n_chunks)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

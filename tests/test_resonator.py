@@ -257,7 +257,7 @@ class TestMemoryPeaks:
     def test_series_peak_not_above_one_shot_enumeration(self, zeta):
         moment_series(zeta, 14.0, 5000.0, 10**5)  # prime tables cached outside the peak
         # 8,458,514 bytes with one-shot enumeration and both halves' unsorted
-        # items held through the pair sum; about 5.5e6 without them
+        # items held through the pair sum; about 7.2e6 without them
         assert self.traced_peak(moment_series, zeta, 14.0, 5000.0, 10**5) <= 8_458_514
 
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import olx.scan as scan_mod
 from olx.errors import DomainError, ResourceError
 from olx.evaluate import T_MAX, euler_product_on_line
-from olx.expsum import error_bound, exp_sum_on_grid
+from olx.expsum import (_HALF_WIDTH, busiest_cell, error_bound, exp_sum_on_grid, grid_cells,
+                        spaced_points)
 from olx.scan import CANDIDATES_PER_RECORD, _survivors, bound_report, grid_scan, refine_peak
 
 
@@ -30,6 +31,25 @@ def _complex_grid(coeff, omega, t0, step, n):
     # exp_sum_on_grid returns the real part; Re(-i z) = Im z gives the rest
     return (exp_sum_on_grid(coeff, omega, t0, step, n)
             + 1j * exp_sum_on_grid(-1j * coeff, omega, t0, step, n))
+
+
+def _scan_eps(monkeypatch, model, t_min, t_max, step, Y=1e5):
+    """grid_scan's eps for this window, stopping before any grid value is computed."""
+    class Stop(Exception):
+        pass
+
+    def first_eps(values, top_k, eps):
+        seen.append(eps)
+        raise Stop
+
+    seen = []
+    with monkeypatch.context() as m:
+        m.setenv("OLX_THREADS", "1")
+        m.setattr(scan_mod, "exp_sum_on_grid", lambda *args: np.zeros(1))
+        m.setattr(scan_mod, "_survivors", first_eps)
+        with pytest.raises(Stop):
+            grid_scan(model, t_min, t_max, step, Y, 10)
+    return seen[0]
 
 
 class TestExpSum:
@@ -125,6 +145,78 @@ class TestExpSum:
             direct = _direct_log_re(coeff, omega, t0, 1.0, n)
             assert np.abs(fast - direct).max() <= error_bound(coeff, omega, t_abs, n)
 
+    @pytest.mark.parametrize("n", [512, 257])  # oversampled 1.5x and about 3x
+    def test_spreading_across_the_edges_of_the_real_grid(self, n):
+        # the same placements on the grid exp_sum_on_grid really uses
+        nf, w = grid_cells(n), _HALF_WIDTH
+        assert nf == 768
+        scale = nf / (2.0 * math.pi)  # with step 1, a term sits at mod(omega, 2 pi) * scale
+        near = [0.25, 1.0, w / 2, w - 0.1, w, nf / 2 - w, nf / 2 - 0.3, nf / 2 + 0.7,
+                nf / 2 + w - 0.5, nf - w - 0.2, nf - 1.0]
+        exact = [0.0, math.pi, np.nextafter(2.0 * math.pi, 0.0)]
+        assert [np.mod(x, 2.0 * math.pi) * scale for x in exact] == [0.0, nf / 2,
+                                                                     np.nextafter(nf, 0.0)]
+        omega = np.array([x / scale for x in near] + exact)
+        xs = near + ["0", "nf/2", "below nf"]
+        coeff = np.random.default_rng(4).uniform(-1.0, 1.0, len(xs))
+        for t0 in (0.0, 37.5, -1e4):
+            t_abs = max(abs(t0), abs(t0 + n - 1))
+            for k in range(len(xs)):
+                one = exp_sum_on_grid(coeff[k:k + 1], omega[k:k + 1], t0, 1.0, n)
+                direct = _direct_log_re(coeff[k:k + 1], omega[k:k + 1], t0, 1.0, n)
+                assert np.abs(one - direct).max() <= error_bound(coeff[k:k + 1], omega[k:k + 1],
+                                                                 t_abs, n, 1.0), xs[k]
+            fast = exp_sum_on_grid(coeff, omega, t0, 1.0, n)
+            direct = _direct_log_re(coeff, omega, t0, 1.0, n)
+            assert np.abs(fast - direct).max() <= error_bound(coeff, omega, t_abs, n, 1.0)
+
+    def test_busiest_cell_matches_a_per_cell_count(self):
+        # every tap sent to its cell of h one by one, padding folded by reflection
+        rng = np.random.default_rng(11)
+        for n in (1, 100, 512, 4096):
+            nf = grid_cells(n)
+            for _ in range(6):
+                step = rng.uniform(0.01, 2.0)
+                theta = np.concatenate([
+                    rng.uniform(0.0, 400.0, int(rng.integers(1, 50))),
+                    rng.uniform(0.0, 2e-3, int(rng.integers(0, 30))),  # crowded around cell 0
+                    rng.uniform(math.pi - 2e-3, math.pi, int(rng.integers(0, 30))),  # below nf/2
+                    [0.0, math.pi, 2.0 * math.pi],  # on cells 0 and nf/2
+                ])
+                omega = theta / step
+                x = np.mod(step * omega, 2.0 * math.pi) * (nf / (2.0 * math.pi))
+                m0 = np.floor(np.where(x > nf // 2, nf - x, x)).astype(int)
+                counts = np.zeros(nf // 2 + 1, dtype=int)
+                for cell in (m0[:, None] + np.arange(-_HALF_WIDTH, _HALF_WIDTH + 1)).ravel():
+                    counts[-cell if cell < 0 else nf - cell if cell > nf // 2 else cell] += 1
+                assert busiest_cell(omega, step, nf) == counts.max()
+                coeff = rng.uniform(-1.0, 1.0, len(omega))
+                assert (error_bound(coeff, omega, 1e5, n, step)
+                        <= error_bound(coeff, omega, 1e5, n))
+        # two terms 2 _HALF_WIDTH cells apart share only the cell midway between them
+        nf = grid_cells(512)
+        y = np.array([200.5, 200.5 + 2 * _HALF_WIDTH])
+        assert busiest_cell(y * (2.0 * math.pi / nf), 1.0, nf) == 2
+
+    def test_spaced_points_are_oversampled_about_3_times(self):
+        for n in list(range(2, 3000)) + [2**18, 2**18 + 1, 2**19 - 1, 2**19]:
+            m = spaced_points(n)
+            assert m <= n and (m - 1) & (m - 2) == 0  # 2^j + 1
+            assert m == n or spaced_points(m) == m and 2 * m - 1 > n
+            assert grid_cells(m) == max(96, 3 * (m - 1))  # r = m/nf just over 1/3 or below
+
+    def test_counted_taps_keep_the_readme_scan_eps(self, zeta, monkeypatch):
+        # eps of the README zeta scan; it was 2.4977e-8 on the 2x grid
+        assert abs(_scan_eps(monkeypatch, zeta, 10.0, 1e6, 0.05) / 2.4977e-8 - 1.0) <= 0.05
+
+    def test_short_last_chunk_keeps_the_eps(self, zeta, monkeypatch):
+        # a last chunk of 3 points spreads on 96 cells, where every tap of
+        # the 32,066 terms shares a few cells, but at 3 outputs the
+        # deconvolution barely amplifies their rounding
+        whole = _scan_eps(monkeypatch, zeta, 1e6, 1e6 + (2 * 2**19 - 1) * 0.05, 0.05)
+        longer = _scan_eps(monkeypatch, zeta, 1e6, 1e6 + (2 * 2**19 + 2) * 0.05, 0.05)
+        assert abs(longer / whole - 1.0) <= 1e-3
+
     def test_reused_buffers_leave_results_alone(self):
         rng = np.random.default_rng(8)
         omega = rng.uniform(0.5, 30.0, 300)
@@ -216,6 +308,38 @@ class TestGridScan:
         assert [r.t for r in fast] == [r.t for r in slow]
         for a, b in zip(fast, slow):
             assert abs(a.magnitude - b.magnitude) <= 1e-12 * a.magnitude
+
+    def test_crowded_terms_take_spaced_chunks(self, zeta, monkeypatch):
+        # at step 1e-5 and Y = 1e3 every term taps the same few cells, so the
+        # 3,000 points run as two chunks of 2^11 + 1 points on 3 * 2^11
+        # cells, the second ending at the last point; the records are still
+        # the top k of a standalone product at every grid point
+        t_min, step, n, Y = 2000.0, 1e-5, 3000, 1e3
+        window = (t_min, t_min + (n - 1) * step, step, Y)
+        oracle = sorted((-abs(euler_product_on_line(zeta, t_min + i * step, Y)), t_min + i * step)
+                        for i in range(n))
+        calls = []
+
+        def recording(coeffs, omegas, t0, step, n):
+            calls.append((round((t0 - t_min) / step), n))
+            return exp_sum_on_grid(coeffs, omegas, t0, step, n)
+
+        monkeypatch.setattr(scan_mod, "exp_sum_on_grid", recording)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OLX_THREADS", threads)
+            recs = grid_scan(zeta, *window, 5)
+            assert [(-r.magnitude, r.t) for r in recs] == oracle[:5]
+        assert sorted(set(calls)) == [(0, 2049), (n - 2049, 2049)]
+
+    def test_crowded_scan_keeps_its_candidates_in_budget(self, zeta, monkeypatch):
+        # 2^19 points at step 1e-6: on one 1.5x-oversampled chunk eps would
+        # be 2.2e-7 and 1,306 points would lie within 2 eps of the top 10
+        # (budget 640); on two 3x-oversampled chunks eps is 2.4e-10
+        window = (1000.0, 1000.0 + (2**19 - 1) * 1e-6, 1e-6)
+        assert _scan_eps(monkeypatch, zeta, *window) < 1e-9
+        recs = grid_scan(zeta, *window, 1e5, 10)
+        assert len(recs) == 10
+        assert [r.magnitude for r in recs] == sorted((r.magnitude for r in recs), reverse=True)
 
     @pytest.mark.parametrize("model, window", [
         ("zeta", (100.0, 110.0, 0.05, 1e3)),
