@@ -70,8 +70,8 @@ point at t0 + j step, by (a) + (b) + (c):
       M is the most taps that add into one cell of h. A cell of h adds at
       most one folded padding cell to its own (nf >= 96 keeps the two folds
       apart), so M <= 2K (two taps from one term where its taps straddle
-      cell 0 or nf/2); given the step, error_bound counts M per cell, folds
-      included, instead. Each transform stage and each kernel, phase and
+      cell 0 or nf/2); error_bound counts M per cell from the step, folds
+      included. Each transform stage and each kernel, phase and
       deconvolution factor rounds once, the radix-3 pass counted as two
       stages. The tap recurrence adds _CHAIN: e^(f/2 tau) is within 1.24u
       (its argument, below 0.24, rounds once), so each step of the power
@@ -264,16 +264,16 @@ def _deconvolution(n: int, nf: int) -> np.ndarray:
 
 
 def error_bound(coeffs: np.ndarray, omegas: np.ndarray, t_abs: float, n: int,
-                step: float | None = None) -> float:
-    """Bound on the error of exp_sum_on_grid at up to n points within
-    |t| <= t_abs (see the module docstring). Given the step, term (a)
-    counts the taps of the busiest cell; without it, 2K."""
+                step: float) -> float:
+    """Bound on the error of exp_sum_on_grid at up to n points at this step
+    within |t| <= t_abs (see the module docstring); term (a) counts the
+    taps of the busiest cell."""
     mass = float(np.abs(coeffs).sum())
     nf = grid_cells(n)
     r = n / nf  # outputs lie within r nf/2 of the centre
     inv_edge = math.exp(_TAU * (math.pi * r) ** 2)  # the deconvolution's largest factor
     aliasing = sum(math.exp(-4 * math.pi**2 * _TAU * (l * l + l * r)) for l in (-3, -2, -1, 1, 2, 3))
-    taps = 2 * len(omegas) if step is None else busiest_cell(omegas, step, nf)
+    taps = busiest_cell(omegas, step, nf)
     rounding = (taps + 2 * math.ceil(math.log2(nf)) + 16 + _CHAIN) * _U * inv_edge
     underflow = rounding * nf * 2.0**-1019
     phase = 20 * _U * t_abs * float(np.abs(coeffs * omegas).sum())

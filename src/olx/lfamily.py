@@ -69,7 +69,7 @@ class LFunctionModel:
 
     def check_cutoff(self, x: float) -> None:
         """Raise RangeError if primes up to x reach past the coefficient table."""
-        if x > self.coeff_cutoff:
+        if not x <= self.coeff_cutoff:  # NaN too
             raise RangeError(f"cutoff {x} beyond coefficient cutoff {self.coeff_cutoff}")
 
     def root_blocks(self, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

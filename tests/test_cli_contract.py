@@ -16,7 +16,7 @@ its range is cut:
 * truncations Y and cutoffs x or X beyond 1e5 (the sieve and the products
   grow with them);
 * moment scales T beyond 300 and quadrature steps below 0.05 (the
-  quadrature sweeps 8 (6.1 T / log T) / step nodes);
+  quadrature sweeps 4 (6.1 T / log T) / step nodes);
 * scan grids beyond about 1e4 points, and calibration beyond 5 samples.
 """
 import contextlib

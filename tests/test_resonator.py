@@ -7,18 +7,21 @@ import pytest
 
 import olx.resonator as resonator
 from olx.errors import DomainError, ResourceError
+from olx.evaluate import euler_product_on_line
 from olx.lfamily import EULER_GAMMA
+from olx.mertens import truncated_product_at_1
 from olx.resonator import (
     _PAIR_REM,
     _box_sum,
     _enumerate_half,
     _integrand_sums,
     _series_sum,
-    _simpson_levels,
+    _trapezoid_levels,
     asymptotic_bound,
     moment_quadrature,
     moment_series,
     q_of_prime,
+    quadrature_intervals,
     resonance_product,
     resonance_products_at_cutoff,
     resonator_config,
@@ -251,7 +254,8 @@ class TestMemoryPeaks:
             tracemalloc.stop()
 
     def test_quadrature_sweeps_in_small_blocks(self, zeta):
-        # 7.2e5 nodes in chunks of 2^19; a whole-chunk integrand took 60 MiB
+        # 3.6e5 nodes, one chunk of at most 2^19 filled in blocks of 2^15; a
+        # whole-chunk integrand took 60 MiB
         assert self.traced_peak(moment_quadrature, zeta, 10.0, 5000.0, 0.04) < 32 * 2**20
 
     def test_series_peak_not_above_one_shot_enumeration(self, zeta):
@@ -420,22 +424,12 @@ class TestMoments:
         assert abs(ms.I2 - mq.I2) <= allowance
 
 
-def simpson_oracle(model, X, eps, t_max, m):
-    """Composite Simpson with m intervals on [-t_max, t_max], on its own grid."""
-    t = np.linspace(-t_max, t_max, m + 1)
-    w = np.full(m + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    h = 2.0 * t_max / m
-    return [float(np.dot(w, v)) * h / 3.0 for v in _integrand_sums(model, X, eps, t)]
+class TestTrapezoidSweep:
+    T = 5000.0
 
-
-class TestNestedSimpson:
-    T, STEP = 5000.0, 0.04
-
-    def level_count(self):
+    def intervals(self, step):
         t_max = 6.1 / resonator_config(self.T).eps
-        return t_max, max(8, 2 * math.ceil(t_max / self.STEP))
+        return t_max, max(8, 2 * math.ceil(t_max / step))
 
     def test_one_sweep_over_the_finest_grid(self, zeta, monkeypatch):
         seen = []
@@ -445,17 +439,35 @@ class TestNestedSimpson:
             return _integrand_sums(model, X, eps, t)
 
         monkeypatch.setattr(resonator, "_integrand_sums", counting)
-        moment_quadrature(zeta, 10.0, self.T, self.STEP)
-        _, n = self.level_count()
-        assert sum(seen) == 4 * n + 1
+        moment_quadrature(zeta, 10.0, self.T, 0.04)
+        _, n = self.intervals(0.04)
+        assert sum(seen) == 2 * n + 1
 
-    def test_levels_match_single_level_simpson(self, gauss):
+    def test_levels_match_single_level_trapezoid(self, gauss):
+        # step 0.02 puts the sweep's 7.2e5 nodes in two chunks of at most 2^19
         X = 10.0
         eps = resonator_config(self.T).eps
-        t_max, n = self.level_count()
-        levels = _simpson_levels(gauss, X, eps, t_max, n)
-        for got, m in zip(levels, (n, 2 * n, 4 * n)):
-            want = simpson_oracle(gauss, X, eps, t_max, m)
+        t_max, n = self.intervals(0.02)
+        assert 2 * n + 1 > 1 << 19
+        levels = _trapezoid_levels(gauss, X, eps, t_max, n)
+        for got, m in zip(levels, (n // 2, n, 2 * n)):
+            t = np.linspace(-t_max, t_max, m + 1)
+            want = [np.trapezoid(v, t) for v in _integrand_sums(gauss, X, eps, t)]
             scale = max(abs(v) for v in want)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: moment_quadrature(m, math.nan, 5000.0, 0.04),
+    lambda m: moment_quadrature(m, 10.0, 5000.0, math.nan),
+    lambda m: quadrature_intervals(m, 10.0, 5000.0, math.nan),
+    lambda m: moment_series(m, math.nan, 5000.0, 100),
+    lambda m: resonance_products_at_cutoff(m, math.nan),
+    lambda m: euler_product_on_line(m, 10.0, math.nan),
+    lambda m: truncated_product_at_1(m, math.nan),
+], ids=["quadrature-X", "quadrature-step", "quadrature-intervals-step", "series-X",
+        "resonance-X", "euler-product-Y", "truncated-product-x"])
+def test_nan_cutoff_or_step_is_a_domain_error(call, zeta):
+    with pytest.raises(DomainError):
+        call(zeta)

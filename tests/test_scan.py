@@ -84,7 +84,7 @@ class TestExpSum:
                 t_abs = max(abs(t0), abs(t0 + (n - 1) * step))
                 fast = exp_sum_on_grid(coeff, omega, t0, step, n)
                 direct = _direct_log_re(coeff, omega, t0, step, n)
-                assert np.abs(fast - direct).max() <= error_bound(coeff, omega, t_abs, n)
+                assert np.abs(fast - direct).max() <= error_bound(coeff, omega, t_abs, n, step)
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(
@@ -109,7 +109,7 @@ class TestExpSum:
         fast = exp_sum_on_grid(coeff, omega, t0, step, n)
         direct = _direct_log_re(coeff, omega, t0, step, n)
         assert fast.shape == (n,)
-        assert np.abs(fast - direct).max() <= error_bound(coeff, omega, t_abs, n)
+        assert np.abs(fast - direct).max() <= error_bound(coeff, omega, t_abs, n, step)
 
     def test_band_edge_accuracy(self):
         # a unit coefficient at 1.97, the edge of the phase band the grid once admitted
@@ -140,10 +140,10 @@ class TestExpSum:
                 one = exp_sum_on_grid(coeff[k:k + 1], omega[k:k + 1], t0, 1.0, n)
                 direct = _direct_log_re(coeff[k:k + 1], omega[k:k + 1], t0, 1.0, n)
                 assert np.abs(one - direct).max() <= error_bound(coeff[k:k + 1], omega[k:k + 1],
-                                                                 t_abs, n), xs[k]
+                                                                 t_abs, n, 1.0), xs[k]
             fast = exp_sum_on_grid(coeff, omega, t0, 1.0, n)
             direct = _direct_log_re(coeff, omega, t0, 1.0, n)
-            assert np.abs(fast - direct).max() <= error_bound(coeff, omega, t_abs, n)
+            assert np.abs(fast - direct).max() <= error_bound(coeff, omega, t_abs, n, 1.0)
 
     @pytest.mark.parametrize("n", [512, 257])  # oversampled 1.5x and about 3x
     def test_spreading_across_the_edges_of_the_real_grid(self, n):
@@ -190,9 +190,7 @@ class TestExpSum:
                 for cell in (m0[:, None] + np.arange(-_HALF_WIDTH, _HALF_WIDTH + 1)).ravel():
                     counts[-cell if cell < 0 else nf - cell if cell > nf // 2 else cell] += 1
                 assert busiest_cell(omega, step, nf) == counts.max()
-                coeff = rng.uniform(-1.0, 1.0, len(omega))
-                assert (error_bound(coeff, omega, 1e5, n, step)
-                        <= error_bound(coeff, omega, 1e5, n))
+                assert busiest_cell(omega, step, nf) <= 2 * len(omega)
         # two terms 2 _HALF_WIDTH cells apart share only the cell midway between them
         nf = grid_cells(512)
         y = np.array([200.5, 200.5 + 2 * _HALF_WIDTH])
