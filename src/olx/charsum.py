@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ResourceError
+from .errors import DomainError, NumericError, check_budget
 
 # B_2, B_4, ..., B_16: the Euler-Maclaurin corrections here and in zeta_em
 EM_BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730, 7.0 / 6,
@@ -50,15 +50,11 @@ def periodic_lseries(chi: np.ndarray, s: complex) -> tuple[complex, float]:
         raise NumericError("periodic coefficient array must have zero mean")
     t = s.imag
     M = q * max(2, math.ceil(max(4096, 16 * q, 8 * q * (1 + abs(s))) / q))
-    if M > 1 << 27:
-        raise ResourceError(
-            f"character series needs a head of {M} terms for period {q} at "
-            f"|s| = {abs(s):.3g}; beyond budget"
-        )
+    check_budget("charsum_head", M, period=q, abs_s=abs(s))
     chi_f = np.asarray(chi, dtype=np.float64)
     head = 0.0 + 0.0j
     phase = 0.0  # sum |chi(n)| |t| log n / n over the head
-    for lo in range(1, M + 1, 1 << 20):  # chunked: M can reach 2^27
+    for lo in range(1, M + 1, 1 << 20):  # chunked: M can reach the head budget
         k = np.arange(lo, min(lo + (1 << 20), M + 1))
         n = k.astype(np.float64)
         w = chi_f[k % q] / n

@@ -25,7 +25,7 @@ from dataclasses import asdict, astuple
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
-from .errors import DomainError, OlxError, ResourceError
+from .errors import DomainError, OlxError, ResourceError, UnsupportedModelError
 from .evaluate import calibrate_truncation, direct_value, euler_product_on_line
 from .lfamily import LFunctionModel, parse_model
 from .mertens import mertens_report
@@ -144,8 +144,9 @@ def _evaluate(model: LFunctionModel, args: argparse.Namespace):
     row = [args.t, Y, value.real, value.imag, abs(value)]
     try:
         direct = direct_value(model, args.t)
-    except OlxError:  # no oracle: the row stops before the direct_* columns
-        pass
+    except OlxError as exc:  # no oracle: the row stops before the direct_* columns
+        if not isinstance(exc, UnsupportedModelError):  # a refused one says why
+            data["direct_omitted"] = str(exc)
     else:
         data["direct"] = _complex(direct)
         data["deviation"] = abs(value / direct - 1.0)

@@ -19,28 +19,23 @@ from functools import lru_cache
 import numpy as np
 
 from .charsum import EM_BERNOULLI
-from .errors import DomainError, NumericError, ResourceError, UnsupportedModelError
+from .errors import DomainError, NumericError, UnsupportedModelError, check_budget
 from .lfamily import LFunctionModel, dirichlet_direct, power_sum
 from .primes import primes_upto
 from .summation import LOG_FLOAT_MAX, blocked_complex_log_sum
 
-T_MAX = 100_000_000.0  # beyond it the phases t log p keep too few correct digits
 EXPANSION_DROP_MAX = 1e-13  # per unit of degree; see log_expansion
-# Each sample takes one oracle value and one product: 1000 samples at
-# Y = 1e6 took 3.8 s, so the budget bounds a run near 40 s at that Y.
-SAMPLES_MAX = 10_000
 _EXPANSION_TINY = 1e-18  # log_expansion's coefficient floor; EXPANSION_DROP_MAX holds at it
 
 
 def zeta_em(s: complex) -> complex:
     """Riemann zeta by Euler-Maclaurin: head sum to N = max(50, 2|Im s|),
     integral and half terms, then 8 Bernoulli corrections. Target 1e-10
-    absolute for Re(s) >= 1/2, |Im s| <= T_MAX."""
+    absolute for Re(s) >= 1/2, |Im s| within the phase budget "abs_t"."""
     s = complex(s)
     if s == 1:
         raise DomainError("zeta has a pole at s = 1")
-    if abs(s.imag) > T_MAX:
-        raise DomainError(f"Euler-Maclaurin path restricted to |Im s| <= {T_MAX:g}")
+    check_budget("abs_t", abs(s.imag))
     N = max(50, math.ceil(2 * abs(s.imag)))
     total = 0.0 + 0.0j
     for lo in range(1, N + 1, 1 << 20):  # chunked: N can reach 2e8
@@ -164,8 +159,7 @@ def euler_product_on_line(model: LFunctionModel, t: float, Y: float) -> complex:
     complex log sum; block-ordered, so bit-identical across runs."""
     if Y < 2:
         raise DomainError(f"truncation cutoff must be >= 2, got {Y}")
-    if not abs(t) <= T_MAX:
-        raise ResourceError(f"|t| = {abs(t):g} exceeds the phase precision budget {T_MAX:g}")
+    check_budget("abs_t", abs(t))
     model.check_cutoff(Y)
     primes = primes_upto(int(Y))
     log_f = blocked_complex_log_sum(
@@ -275,13 +269,11 @@ def calibrate_truncation(
     asymptotic truncation rate."""
     if sample_count < 1:
         raise DomainError("calibration needs sample_count >= 1")
-    if sample_count > SAMPLES_MAX:
-        raise ResourceError(f"calibration samples beyond the budget {SAMPLES_MAX}")
+    check_budget("samples", sample_count)
     lo, hi = float(t_range[0]), float(t_range[1])
     if not lo < hi:
         raise DomainError("t_range must satisfy t_min < t_max")
-    if max(abs(lo), abs(hi)) > T_MAX:
-        raise ResourceError(f"calibration window beyond |t| = {T_MAX:g} (phase precision budget)")
+    check_budget("abs_t", max(abs(lo), abs(hi)))
     ts = sample_uniform(int(seed), int(sample_count), lo, hi)
     devs = []
     for t in ts:

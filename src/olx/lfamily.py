@@ -20,14 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .charsum import periodic_lseries
-from .errors import DomainError, NumericError, RangeError, ResourceError
+from .errors import DomainError, NumericError, RangeError, check_budget
 from .primes import character_table, primes_upto
-
-TAU_N_MAX = 20_000
-# Every per-prime kernel loops over the m roots of zeta^m, so its cost grows
-# linearly in m: zeta^100000 spent 0.6 s on mertens at x = 1e2 before its
-# overflow. Products of zeta^m overflow a float from about m = 1000 at x = 1e2.
-ZETA_POWER_MAX = 10_000
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -175,8 +169,7 @@ def tau_table(N: int) -> TauTable:
     """
     if N < 1:
         raise DomainError("tau table needs N >= 1")
-    if N > TAU_N_MAX:
-        raise ResourceError(f"tau table budget is N <= {TAU_N_MAX}, got {N}")
+    check_budget("tau_N", N)
     M = math.prod(_TAU_MODULI)
     if 4 * N**6 >= M:
         raise NumericError(f"tau values up to n = {N} exceed the CRT range")
@@ -202,8 +195,7 @@ def make_zeta_power(m: int) -> LFunctionModel:
     """The m-th power of the Riemann zeta model: all local roots 1."""
     if m < 1:
         raise DomainError("zeta power needs m >= 1 (the pole drives everything)")
-    if m > ZETA_POWER_MAX:
-        raise ResourceError(f"zeta power beyond the budget m <= {ZETA_POWER_MAX}")
+    check_budget("zeta_power", m)
     label = "zeta" if m == 1 else f"zeta^{m}"
     return LFunctionModel(
         label=label,
@@ -216,13 +208,12 @@ def make_zeta_power(m: int) -> LFunctionModel:
 
 
 def dirichlet_direct(d: int, t: float) -> complex:
-    """L(1 + it, chi_d) for a fundamental discriminant d != 1 with
-    |d| <= 1e6, to 1e-9 absolute: the character series of charsum, whose
+    """L(1 + it, chi_d) for a fundamental discriminant d != 1 within the
+    budget "abs_d", to 1e-9 absolute: the character series of charsum, whose
     stated remainder and rounding bound is checked against that target.
     Its phase rounding grows with |t|, so the check refuses beyond about
     |t| = 8e4 for d = -4 and 5e4 for d = 5."""
-    if abs(d) > 1_000_000:  # first: the squarefree test is trial division
-        raise DomainError(f"|d| <= 1e6 required, got {d}")
+    check_budget("abs_d", abs(d), d=d)  # first: the squarefree test is trial division
     if not is_fundamental_discriminant(d):
         raise DomainError(f"{d} is not a fundamental discriminant != 1")
     value, bound = periodic_lseries(character_table(d), complex(1.0, float(t)))

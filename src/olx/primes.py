@@ -11,11 +11,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, check_budget
 
-SIEVE_LIMIT_MAX = 1 << 32
 SEGMENT_SIZE = 1 << 21
-Y_MAX = 100_000_000  # the sieve budget of the cached table: largest cutoff Y
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -33,15 +31,15 @@ def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
     """All primes <= limit, ascending, as a read-only int64 array, from a
     segmented sieve of Eratosthenes over the odd numbers.
 
-    Memory is bounded by segment_size (integers per segment, held as one
-    flag per odd number), not limit, so scans can ask for primes up to 1e8
-    without holding a mask of that size. Segments are processed in
-    ascending order; the result is deterministic.
+    The mask is bounded by segment_size (integers per segment, one flag per
+    odd number), not limit, so scans can ask for primes up to 1e8 without a
+    mask of that size; the primes are not: the kept segments and their
+    concatenation hold 2 * 8 * pi(limit) bytes (92 MB at 1e8). Segments are
+    processed in ascending order; the result is deterministic.
     """
     if not limit >= 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    if limit > SIEVE_LIMIT_MAX:
-        raise ResourceError(f"sieve limit {limit:g} exceeds the sieve budget 2^32")
+    check_budget("sieve_limit", limit)
     limit = int(limit)
     root = math.isqrt(limit)
     base = _simple_sieve(root)
@@ -72,10 +70,9 @@ def primes_upto(limit: int) -> np.ndarray:
     """The primes <= limit as a read-only array, cached across calls.
 
     Every truncation cutoff Y reaches the primes through here, so this is
-    where the sieve budget Y_MAX is enforced.
+    where the sieve budget "Y" is enforced.
     """
-    if limit > Y_MAX:
-        raise ResourceError(f"Y = {limit:g} exceeds the sieve budget {Y_MAX:g}")
+    check_budget("Y", limit)
     return sieve_primes(limit)
 
 

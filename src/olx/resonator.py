@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ResourceError
+from .errors import BUDGETS, DomainError, NumericError, check_budget
 from .lfamily import LFunctionModel, local_coefficients, log_local_factor
 from .primes import primes_upto
 from .summation import blocked_log_sum, exp_of_log
@@ -30,9 +30,7 @@ from .summation import blocked_log_sum, exp_of_log
 _E_TO_E = math.exp(math.e)
 
 X_MOMENTS_MAX = 50.0  # weight cutoff of both moment-integral paths
-_ENUM_MAX_ITEMS = 12_000_000  # per half of the moment-series enumeration
 _ENUM_BLOCK = 1 << 16  # cells per row block of an enumeration outer product
-QUAD_NODES_MAX = 1 << 25  # nodes of moment_quadrature's one sweep, about 4 (6.1/eps)/step
 _GAUSS_CUT = 6.1  # quadrature range |t| <= 6.1/eps; the Gaussian is below 1e-16 beyond
 
 
@@ -261,11 +259,7 @@ def _enumerate_half(
             new_w = (ws[lo : lo + rows, None] * tnorm[None, :]).ravel()
             keep = new_w >= delta
             kept += int(np.count_nonzero(keep))
-            if kept > _ENUM_MAX_ITEMS:
-                raise ResourceError(
-                    f"moment-series enumeration exceeded {_ENUM_MAX_ITEMS} items; "
-                    "lower n_cutoff or X"
-                )
+            check_budget("enum_items", kept)
             parts_w.append(new_w[keep])
             parts_x.append((xs[lo : lo + rows, None] + offs[None, :]).ravel()[keep])
         xs = np.concatenate(parts_x)
@@ -506,16 +500,17 @@ def _trapezoid_levels(
     intervals, one row per level, from one integrand sweep over the 2n + 1
     nodes of the finest grid: each level reads every 4th, 2nd or 1st node
     (n is even), all of them weighted 1 but the two ends, which every level
-    shares. The sweep fills one (3, chunk) array per chunk from blocks of
-    2^15 nodes, so the integrand's temporaries stay small."""
+    shares. The sweep refills one (3, chunk) buffer per chunk from blocks
+    of 2^15 nodes, so the integrand's temporaries stay small."""
     strides = np.array([4, 2, 1])
     h = t_max / n
     sums = np.zeros((3, 3))
     chunk = 1 << 19  # a multiple of 4, so every chunk starts on a node of every level
     block = 1 << 15
+    buf = np.empty((3, min(chunk, 2 * n + 1)))
     for lo in range(0, 2 * n + 1, chunk):
         hi = min(lo + chunk, 2 * n + 1)
-        vals = np.empty((3, hi - lo))
+        vals = buf[:, : hi - lo]
         for b in range(lo, hi, block):
             t = -t_max + np.arange(b, min(b + block, hi)) * h
             vals[:, b - lo : b - lo + len(t)] = _integrand_sums(model, X, eps, t)
@@ -532,8 +527,8 @@ def quadrature_intervals(
     model: LFunctionModel, X: float, T: float, step: float
 ) -> int:
     """The interval count n of moment_quadrature's middle level after its
-    input checks; ResourceError when the sweep's 2n + 1 nodes exceed
-    QUAD_NODES_MAX. Cheap, so a caller can refuse a run before other work."""
+    input checks; ResourceError when the sweep's 2n + 1 nodes exceed the
+    budget "quad_nodes". Cheap, so a caller can refuse a run before other work."""
     if not step > 0:
         raise DomainError("quadrature step must be positive")
     if X > X_MOMENTS_MAX:
@@ -541,12 +536,8 @@ def quadrature_intervals(
     model.check_cutoff(X)
     half = _GAUSS_CUT / resonator_config(T).eps / step
     # half stays a float past the budget, so no step overflows ceil
-    n = max(8, 2 * math.ceil(half)) if half <= QUAD_NODES_MAX else 2.0 * half
-    if not 2 * n + 1 <= QUAD_NODES_MAX:
-        raise ResourceError(
-            f"quadrature needs {2 * n + 1:.3g} nodes, beyond the budget "
-            f"{QUAD_NODES_MAX}; raise step or lower T"
-        )
+    n = max(8, 2 * math.ceil(half)) if half <= BUDGETS["quad_nodes"].limit else 2.0 * half
+    check_budget("quad_nodes", 2 * n + 1)
     return n
 
 
@@ -565,11 +556,10 @@ def moment_quadrature(
     and the failure is raised, not smoothed over.
 
     The sweep takes 4 (6.1/eps)/step nodes to within 5 (3.6e5 at the
-    defaults T = 5000, step 0.04), in chunks of 2^19 nodes, so its traced
-    peak stays near 24 MiB at any node count. Above QUAD_NODES_MAX = 2^25,
-    about 13 s at the 0.3-0.45 us per node measured at X = 18 on a 2-core
-    Xeon VM (numpy 2.4), ResourceError is raised before any integrand work
-    (quadrature_intervals)."""
+    defaults T = 5000, step 0.04), in chunks of 2^19 nodes through one
+    buffer, so its traced peak stays below 16 MiB at any node count. Past
+    the budget "quad_nodes" (olx.errors.BUDGETS), ResourceError is raised
+    before any integrand work (quadrature_intervals)."""
     n = quadrature_intervals(model, X, T, step)
     eps = resonator_config(T).eps
     vals = _trapezoid_levels(model, X, eps, _GAUSS_CUT / eps, n)

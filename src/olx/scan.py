@@ -20,19 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ResourceError
-from .evaluate import EXPANSION_DROP_MAX, T_MAX, euler_product_on_line, log_expansion
+from .errors import BUDGETS, DomainError, NumericError, check_budget
+from .evaluate import EXPANSION_DROP_MAX, euler_product_on_line, log_expansion
 from .expsum import error_bound, exp_sum_on_grid, spaced_points
 from .lfamily import LFunctionModel
 from .primes import primes_upto
 from .resonator import asymptotic_bound
 
-POINTS_MAX = 1 << 28
-CANDIDATES_PER_RECORD = 64  # standalone products a scan may spend per record
-# A scan may spend 64 standalone products per record, and one of no more
-# grid points than top_k spends one per point: 10,001 products at Y = 1e5
-# took 3.0 s, so the budget's 64,000 would take about 19 s there.
-TOP_K_MAX = 1000
 # Points per exp_sum_on_grid call, whose real transform has
 # grid_cells(_CHUNK) = 3 * 2^18 cells. The README zeta scan (2e7 points),
 # in-process medians of 5 on a 2-core Xeon (numpy 2.4), two runs each, with
@@ -112,9 +106,7 @@ def _survivors(values: np.ndarray, top_k: int, eps: float) -> np.ndarray:
     k = min(top_k, len(values))
     kth = np.partition(values, len(values) - k)[len(values) - k]
     idx = np.flatnonzero(values >= kth - 2.0 * eps)
-    if len(idx) > CANDIDATES_PER_RECORD * top_k:
-        raise ResourceError(f"{len(idx)} grid values within 2 eps = {2 * eps:.1e} of the top "
-                            f"{top_k} exceed the budget of {CANDIDATES_PER_RECORD} per record")
+    check_budget("candidates", len(idx) / top_k, count=len(idx), two_eps=2 * eps, top_k=top_k)
     return idx
 
 
@@ -139,23 +131,17 @@ def grid_scan(
     t_min, t_max, step, Y = float(t_min), float(t_max), float(step), float(Y)
     if top_k < 1:
         raise DomainError("top_k must be >= 1")
-    if top_k > TOP_K_MAX:
-        raise ResourceError(f"top_k beyond the budget {TOP_K_MAX}")
+    check_budget("top_k", top_k)
     t_abs = max(abs(t_min), abs(t_max))
-    if t_abs > T_MAX:
-        raise ResourceError(f"scan window beyond |t| = {T_MAX:g} (phase precision budget)")
+    check_budget("abs_t", t_abs)
     if t_min == t_max:
         return [_record_at(model, t_min, Y, refined=False)]
     if t_min > t_max:
         raise DomainError("t_min must not exceed t_max")
     if step <= 0 or step > t_max - t_min:
         raise DomainError("step must satisfy 0 < step <= t_max - t_min")
-    count = (t_max - t_min) / step + 1.0 + 1e-9  # a float; inf for a subnormal step
-    if count >= POINTS_MAX + 1:
-        raise ResourceError(
-            f"grid of {count:.3g} points exceeds the budget {POINTS_MAX}; "
-            "raise step or shrink the window"
-        )
+    count = np.floor((t_max - t_min) / step + 1.0 + 1e-9)  # whole points; inf for a subnormal step
+    check_budget("grid_points", count)
     n_points = int(count)
     omega, coeff = log_expansion(model, Y)
 
@@ -190,12 +176,8 @@ def grid_scan(
         idx = _survivors(re_log, top_k, eps)
         return re_log[idx], lo + idx
 
-    workers = min(worker_cap(), n_chunks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_chunk = list(pool.map(chunk_survivors, range(n_chunks)))
-    else:
-        per_chunk = [chunk_survivors(ci) for ci in range(n_chunks)]
+    with ThreadPoolExecutor(max_workers=min(worker_cap(), n_chunks)) as pool:
+        per_chunk = list(pool.map(chunk_survivors, range(n_chunks)))
     values, index = (np.concatenate(parts) for parts in zip(*per_chunk))
     records = [_record_at(model, t_min + int(i) * step, Y, refined=False)
                for i in index[_survivors(values, top_k, eps)]]
@@ -210,9 +192,9 @@ def refine_peak(
     tol: float,
     bracket: float,
 ) -> ScanRecord:
-    """Golden-section maximization of |F(1 + it; Y)| on
-    [t_seed - bracket, t_seed + bracket] within |t| <= T_MAX; stops when
-    the bracket is below tol. Returns the best record it evaluated, ties
+    """Golden-section maximization of |F(1 + it; Y)| on [t_seed - bracket,
+    t_seed + bracket] within the phase budget "abs_t"; stops when the
+    bracket is below tol. Returns the best record it evaluated, ties
     toward smaller t; the seed is among them, so no refinement loses it."""
     if tol < 1e-9:
         raise DomainError(f"refinement tolerance must be >= 1e-9, got {tol}")
@@ -225,8 +207,9 @@ def refine_peak(
         return seen[-1].magnitude
 
     mag(float(t_seed))
-    a = max(t_seed - bracket, -T_MAX)  # a seed at the budget edge stays refinable
-    b = min(t_seed + bracket, T_MAX)
+    edge = BUDGETS["abs_t"].limit
+    a = max(t_seed - bracket, -edge)  # a seed at the budget edge stays refinable
+    b = min(t_seed + bracket, edge)
     if b - a <= tol:
         return seen[0]
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0

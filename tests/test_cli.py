@@ -100,7 +100,11 @@ def test_bad_input_is_one_error_line(argv, want, reason, capsys, tmp_path):
     (["calibrate", "--samples", "1e300"], "calibration samples beyond the budget 10000"),
     (["mertens", "--model", "zeta^1000000000", "--x", "1e2"],
      "zeta power beyond the budget m <= 10000"),
-], ids=["scan-top-k", "scan-top-k-1e300", "calibrate-samples", "zeta-power"])
+    (["residue", "--model", "rs-delta:20001"], "tau table budget is N <= 20000, got 20001"),
+    (["residue", "--model", "dedekind:-1000004"],
+     "|d| <= 1000000 required, got -1000004"),
+], ids=["scan-top-k", "scan-top-k-1e300", "calibrate-samples", "zeta-power", "tau-table",
+        "discriminant"])
 def test_size_budget_refuses_before_any_work(argv, reason, capsys):
     start = time.perf_counter()
     code, out, err = run_capture(argv, capsys)
@@ -299,6 +303,24 @@ class TestOutputs:
         payload = json.loads(out)
         assert "direct" not in payload["data"]
         assert payload["config"]["Y"] == payload["data"]["Y"] == 500.0
+
+    @pytest.mark.parametrize("model, t, omitted", [
+        ("dedekind:-4", "1e5", "character series error bound"),
+        ("rs-delta:500", "1", None),
+        ("zeta", "2", None),
+    ])
+    def test_evaluate_says_why_the_oracle_is_omitted(self, model, t, omitted, capsys):
+        # a refused oracle names its refusal in the JSON body; a model with
+        # no oracle, or one that has a value, carries no such key
+        code, out, err = run_capture(["evaluate", "--model", model, "--t", t], capsys)
+        assert (code, err) == (0, "")
+        data = json.loads(out)["data"]
+        if omitted is None:
+            assert "direct_omitted" not in data
+        else:
+            assert data["direct_omitted"].startswith(omitted)
+            assert data["direct_omitted"].endswith("exceeds 1e-9")
+            assert "direct" not in data
 
     def test_moments_reports_agreement(self, capsys):
         code, out, _ = run_capture(

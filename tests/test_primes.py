@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from olx.errors import DomainError, ResourceError
+from olx.errors import BUDGETS, DomainError, ResourceError
 from olx.lfamily import is_fundamental_discriminant
 from olx.primes import (
     SEGMENT_SIZE,
-    SIEVE_LIMIT_MAX,
     _simple_sieve,
     character_table,
     kronecker,
@@ -76,7 +75,7 @@ class TestSieve:
 
     def test_limit_above_budget_is_a_resource_error(self):
         with pytest.raises(ResourceError, match="sieve budget"):
-            sieve_primes(SIEVE_LIMIT_MAX + 1)
+            sieve_primes(BUDGETS["sieve_limit"].limit + 1)
 
     @pytest.mark.parametrize("segment_size", [2, 64, SEGMENT_SIZE])
     def test_every_small_limit(self, segment_size):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import olx.resonator as resonator
-from olx.errors import DomainError, ResourceError
+from olx.errors import BUDGETS, DomainError, ResourceError
 from olx.evaluate import euler_product_on_line
 from olx.lfamily import EULER_GAMMA
 from olx.mertens import truncated_product_at_1
@@ -229,7 +229,7 @@ class TestBlockedEnumeration:
     def test_budget_refuses_before_the_product_is_built(self, zeta, monkeypatch):
         # built one prime's whole outer product at a time, this enumeration
         # held 51 MiB before refusing at this budget, and 2 GB at the real one
-        monkeypatch.setattr(resonator, "_ENUM_MAX_ITEMS", 200_000)
+        monkeypatch.setitem(BUDGETS, "enum_items", BUDGETS["enum_items"]._replace(limit=200_000))
         eps = resonator_config(5000.0).eps
         tracemalloc.start()
         try:
@@ -257,6 +257,11 @@ class TestMemoryPeaks:
         # 3.6e5 nodes, one chunk of at most 2^19 filled in blocks of 2^15; a
         # whole-chunk integrand took 60 MiB
         assert self.traced_peak(moment_quadrature, zeta, 10.0, 5000.0, 0.04) < 32 * 2**20
+
+    def test_quadrature_chunks_share_one_buffer(self, zeta):
+        # 3.6e6 nodes in 7 chunks: 15.5 MiB through one buffer, 24.3 MiB
+        # with a fresh chunk array allocated beside the previous one
+        assert self.traced_peak(moment_quadrature, zeta, 10.0, 5000.0, 0.004) < 20 * 2**20
 
     def test_series_peak_not_above_one_shot_enumeration(self, zeta):
         moment_series(zeta, 14.0, 5000.0, 10**5)  # prime tables cached outside the peak

@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import olx.scan as scan_mod
-from olx.errors import DomainError, ResourceError
-from olx.evaluate import T_MAX, euler_product_on_line
+from olx.errors import BUDGETS, DomainError, ResourceError
+from olx.evaluate import euler_product_on_line
 from olx.expsum import (_HALF_WIDTH, busiest_cell, error_bound, exp_sum_on_grid, grid_cells,
                         spaced_points)
-from olx.scan import CANDIDATES_PER_RECORD, _survivors, bound_report, grid_scan, refine_peak
+from olx.scan import _survivors, bound_report, grid_scan, refine_peak
+
+T_MAX = BUDGETS["abs_t"].limit
+CANDIDATES_PER_RECORD = BUDGETS["candidates"].limit
 
 
 def _direct_log_re(coeff, omega, t0, step, n):
