@@ -37,7 +37,8 @@ from .resonator import (
     resonance_product,
     resonance_products_at_cutoff,
 )
-from .scan import bound_report, env_threads, grid_scan, refine_peak, worker_cap
+from .scan import bound_report, grid_scan, refine_peak
+from .summation import env_threads, worker_cap
 
 
 class _UsageError(Exception):

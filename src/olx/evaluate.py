@@ -13,6 +13,7 @@ converge absolutely on the 1-line as Y grows).
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -22,7 +23,7 @@ from .charsum import EM_BERNOULLI
 from .errors import DomainError, NumericError, UnsupportedModelError, check_budget
 from .lfamily import LFunctionModel, dirichlet_direct, power_sum
 from .primes import primes_upto
-from .summation import LOG_FLOAT_MAX, blocked_complex_log_sum
+from .summation import LOG_FLOAT_MAX, blocked_complex_log_sum, worker_cap
 
 EXPANSION_DROP_MAX = 1e-13  # per unit of degree; see log_expansion
 _EXPANSION_TINY = 1e-18  # log_expansion's coefficient floor; EXPANSION_DROP_MAX holds at it
@@ -266,7 +267,8 @@ def calibrate_truncation(
     """Measure the truncated product against the direct oracle on seeded
     uniform samples. Reporting only: no threshold is enforced here, and
     deviations are an empirical stand-in for the (numerically unreachable)
-    asymptotic truncation rate."""
+    asymptotic truncation rate. Samples run on worker_cap() threads and
+    are gathered in sample order, so the result is the same for any count."""
     if sample_count < 1:
         raise DomainError("calibration needs sample_count >= 1")
     check_budget("samples", sample_count)
@@ -275,13 +277,18 @@ def calibrate_truncation(
         raise DomainError("t_range must satisfy t_min < t_max")
     check_budget("abs_t", max(abs(lo), abs(hi)))
     ts = sample_uniform(int(seed), int(sample_count), lo, hi)
-    devs = []
-    for t in ts:
+
+    def deviation(t: float) -> float:
         direct = direct_value(model, t)
         if abs(direct) < 1e-300:
             raise NumericError(f"direct value vanished at t = {t}")
-        truncated = euler_product_on_line(model, t, Y)
-        devs.append(abs(truncated / direct - 1.0))
+        return abs(euler_product_on_line(model, t, Y) / direct - 1.0)
+
+    with ThreadPoolExecutor(max_workers=worker_cap()) as pool:
+        # the first sample runs alone, so the workers share one sieved table
+        # (primes_upto) and a refused input fails as it would serially
+        devs = [pool.submit(deviation, ts[0]).result()]
+        devs += pool.map(deviation, ts[1:])  # in sample order
     dev_arr = np.asarray(devs)
     return CalibrationStats(
         label=model.label,

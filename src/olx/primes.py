@@ -33,9 +33,11 @@ def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
 
     The mask is bounded by segment_size (integers per segment, one flag per
     odd number), not limit, so scans can ask for primes up to 1e8 without a
-    mask of that size; the primes are not: the kept segments and their
-    concatenation hold 2 * 8 * pi(limit) bytes (92 MB at 1e8). Segments are
-    processed in ascending order; the result is deterministic.
+    mask of that size. Each segment writes its primes straight into one
+    buffer sized by pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld), which
+    is then shrunk in place, so the result holds 8 * pi(limit) bytes (46 MB
+    at 1e8) and the primes are never copied whole. Segments are processed
+    in ascending order; the result is deterministic.
     """
     if not limit >= 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
@@ -45,9 +47,10 @@ def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
     base = _simple_sieve(root)
     odd_base = base[1:]
     squares = odd_base * odd_base
-    chunks = [base]
-    if root < 2:
-        chunks.append(np.array([2], dtype=np.int64))
+    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    primes[: len(base)] = base
+    count = max(len(base), 1)
+    primes[0] = 2  # base is empty below 4
     lo = max(root + 1, 3) | 1  # first odd number past the base primes
     span = max(segment_size // 2, 1)  # odd numbers per segment
     while lo <= limit:
@@ -58,9 +61,14 @@ def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
         start += odd_base * (start % 2 == 0)
         for p, i in zip(odd_base.tolist(), ((start - lo) // 2).tolist()):
             mask[i::p] = False
-        chunks.append(np.flatnonzero(mask) * 2 + lo)
+        found = np.flatnonzero(mask)
+        found *= 2
+        found += lo
+        primes[count : count + len(found)] = found
+        count += len(found)
         lo += 2 * n
-    primes = np.concatenate(chunks)
+        del found  # freed before the next segment finds its primes
+    primes.resize(count, refcheck=False)  # no view of the buffer is left
     primes.setflags(write=False)
     return primes
 

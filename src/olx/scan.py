@@ -14,7 +14,6 @@ attaching any verdict (the prediction's additive constant is unknown).
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from .expsum import error_bound, exp_sum_on_grid, spaced_points
 from .lfamily import LFunctionModel
 from .primes import primes_upto
 from .resonator import asymptotic_bound
+from .summation import worker_cap
 
 # Points per exp_sum_on_grid call, whose real transform has
 # grid_cells(_CHUNK) = 3 * 2^18 cells. The README zeta scan (2e7 points),
@@ -64,25 +64,6 @@ class BoundReport:
     difference: float
     ratio: float
     conjectural_form: float | None
-
-
-def env_threads() -> int | None:
-    """The worker cap set by OLX_THREADS, or None when it is unset."""
-    raw = os.environ.get("OLX_THREADS")
-    if raw is None:
-        return None
-    try:
-        v = int(raw)
-    except ValueError:
-        raise DomainError(f"OLX_THREADS must be a positive integer, got {raw!r}") from None
-    if v < 1:
-        raise DomainError(f"OLX_THREADS must be a positive integer, got {raw!r}")
-    return v
-
-
-def worker_cap() -> int:
-    """The worker count: OLX_THREADS, or all cores when it is unset."""
-    return env_threads() or os.cpu_count() or 1
 
 
 def _record_at(model: LFunctionModel, t: float, Y: float, refined: bool) -> ScanRecord:

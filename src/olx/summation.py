@@ -6,21 +6,42 @@ results are folded left-to-right by neumaier_sum, the package's only
 compensated loop (complex sums fold their real and imaginary parts
 through it separately). The block boundaries depend only on the input,
 never on a worker count, so two runs produce bit-identical sums
-regardless of how blocks were computed. exp_of_log turns a log sum back
-into a value, raising NumericError instead of overflowing a float.
+regardless of how blocks were computed; worker_cap reads that count from
+OLX_THREADS for every pool in the package. exp_of_log turns a log sum
+back into a value, raising NumericError instead of overflowing a float.
 """
 from __future__ import annotations
 
 import math
+import os
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DomainError, NumericError
 
 BLOCK_PRIMES = 1 << 16
 
 LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))
+
+
+def env_threads() -> int | None:
+    """The worker cap set by OLX_THREADS, or None when it is unset."""
+    raw = os.environ.get("OLX_THREADS")
+    if raw is None:
+        return None
+    try:
+        v = int(raw)
+    except ValueError:
+        raise DomainError(f"OLX_THREADS must be a positive integer, got {raw!r}") from None
+    if v < 1:
+        raise DomainError(f"OLX_THREADS must be a positive integer, got {raw!r}")
+    return v
+
+
+def worker_cap() -> int:
+    """The worker count: OLX_THREADS, or all cores when it is unset."""
+    return env_threads() or os.cpu_count() or 1
 
 
 def neumaier_sum(values: Iterator[float]) -> float:

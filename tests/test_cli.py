@@ -12,6 +12,7 @@ import pytest
 import olx.cli
 from olx.cli import run
 from olx.errors import NumericError, ResourceError
+from olx.primes import sieve_primes
 
 
 def run_capture(argv, capsys):
@@ -195,6 +196,60 @@ def test_grid_budget_reason_is_short(step, count, capsys):
                    "raise step or shrink the window\n")
 
 
+@pytest.mark.parametrize("model, grid, want", [
+    ("zeta^1000", "1e2,1e10",
+     (2, "error: numeric: truncated product at x = 100.0 overflows a float (log 2117.62)\n")),
+    ("rs-delta:100", "50,200", (1, "error: domain: cutoff 200.0 beyond coefficient cutoff 100.0\n")),
+    ("zeta", "1e2,1e10",
+     (3, "error: resource: sieve limit 1e+10 exceeds the sieve budget 4294967296\n")),
+], ids=["overflow-before-budget", "range-after-product", "budget-after-product"])
+def test_mertens_grid_errors_keep_the_cutoff_order(model, grid, want, capsys, monkeypatch):
+    # the grid is sieved once, to its last admitted cutoff, and the products
+    # before a refused cutoff are computed (and may overflow) before it is refused
+    limits = []
+
+    def spy(limit):
+        limits.append(limit)
+        return sieve_primes(limit)
+
+    monkeypatch.setattr("olx.mertens.sieve_primes", spy)
+    start = time.perf_counter()
+    code, out, err = run_capture(["mertens", "--model", model, "--x-grid", grid], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (want[0], "", want[1])
+    assert limits == [int(float(grid.split(",")[0]))]
+
+
+def test_mertens_pins_the_bench_grid(capsys):
+    code, out, _ = run_capture(["mertens", "--x-grid", "1e6,1e7,1e8"], capsys)
+    assert code == 0
+    products = [float.hex(v) for v in json.loads(out)["data"]["product"]]
+    assert products == ["0x1.89b7d72e83766p+4", "0x1.cb530703930f6p+4",
+                        "0x1.067836f9e6d3fp+5"]
+
+
+# Starts a command and prints its exit code and peak RSS in kilobytes. It
+# runs in a small interpreter of its own: a child spawned straight from
+# pytest would report pytest's own peak, which the spawn copies in.
+PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def test_mertens_at_1e8_peaks_below_90_mb():
+    # the 5,761,455 primes take 46 MB: about 78 MB in all with numpy 2.4,
+    # and 121 MB for a sieve that holds them twice
+    out = subprocess.run([sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "olx.cli",
+                          "mertens", "--x", "1e8"], capture_output=True, check=True).stdout
+    code, peak_kb = map(int, out.split())
+    assert code == 0
+    assert peak_kb < 90 * 1024
+
+
 def readme_columns():
     """CSV column lists per subcommand from the README table; evaluate's
     row gives its oracle columns as a second backticked list."""
@@ -359,6 +414,9 @@ class TestThreadsEnv:
         ["scan", "--model", "zeta", "--t-min", "171", "--t-max", "172",
          "--step", "0.01", "--Y", "1e4", "--top-k", "3", "--format", "csv"],
         ["moments", "--X", "14", "--n-cutoff", "1e4", "--format", "csv"],
+        ["calibrate", "--model", "zeta", "--Y", "1e4", "--samples", "24", "--format", "csv"],
+        ["calibrate", "--model", "dedekind:-4", "--Y", "1e4", "--samples", "24",
+         "--format", "csv"],
     ])
     def test_worker_count_independent(self, cmd, tmp_path):
         outputs = []

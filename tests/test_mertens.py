@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from olx.errors import DomainError
+from olx.errors import DomainError, NumericError
 import numpy as np
 
 from olx.lfamily import EULER_GAMMA, make_zeta_power, power_sum
@@ -145,3 +145,38 @@ class TestReport:
         a = mertens_report(zeta, [1e3, 1e5])
         b = mertens_report(zeta, [1e3, 1e5])
         assert a == b
+
+    def test_one_sieve_per_grid(self, zeta, monkeypatch):
+        limits = []
+
+        def spy(limit, *args):
+            limits.append(limit)
+            return sieve_primes(limit, *args)
+
+        monkeypatch.setattr("olx.mertens.sieve_primes", spy)
+        rep = mertens_report(zeta, [1e2, 1e3, 1e4, 1e5])
+        assert limits == [100_000]
+        assert 0.99 < rep.ratio[-1] < 1.01
+
+    @pytest.mark.parametrize("model_name", ["zeta", "zeta2", "gauss", "rs_small"])
+    def test_products_keep_the_bits_of_single_cutoffs(self, model_name, request):
+        # 821,641 is the 65,536th prime, so at it the primes fill exactly
+        # one summation block, and one more prime opens the next
+        model = request.getfixturevalue(model_name)
+        assert len(sieve_primes(821_641)) == 65_536
+        grid = [2, 1000.5, 1999.0, 821_640, 821_641, 821_647]
+        if model_name == "rs_small":
+            grid = grid[:3]
+        rep = mertens_report(model, grid)
+        assert rep.product == tuple(truncated_product_at_1(model, x) for x in grid)
+
+    def test_refusal_waits_for_the_cutoffs_before_it(self, rs_small):
+        from olx.errors import RangeError
+
+        with pytest.raises(RangeError, match="cutoff 5000.0 beyond"):
+            mertens_report(rs_small, [100, 5000, 1e20])
+        big = make_zeta_power(1000)
+        with pytest.raises(NumericError, match="x = 100.0 overflows"):
+            mertens_report(big, [100, 1e20])
+        with pytest.raises(DomainError, match="x >= 2, got 1.5"):
+            mertens_report(big, [1.5, 100])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,9 +78,11 @@ class TestSieve:
         with pytest.raises(ResourceError, match="sieve budget"):
             sieve_primes(BUDGETS["sieve_limit"].limit + 1)
 
-    @pytest.mark.parametrize("segment_size", [2, 64, SEGMENT_SIZE])
+    @pytest.mark.parametrize("segment_size", [2, 64, SEGMENT_SIZE, 1000])
     def test_every_small_limit(self, segment_size):
-        for limit in range(2, 401):
+        # one-number segments (segment_size 2) stop at 400: to 3000 they
+        # take about a minute
+        for limit in range(2, 401 if segment_size == 2 else 3001):
             np.testing.assert_array_equal(
                 sieve_primes(limit, segment_size), _simple_sieve(limit))
 
@@ -95,6 +98,40 @@ class TestSieve:
                     sieve_primes(limit, segment_size), _simple_sieve(limit))
                 checked += 1
         assert checked > 200
+
+    @pytest.mark.parametrize("segments", [1, 2])
+    def test_limits_around_a_default_segment_edge(self, segments):
+        # the segments start at the first odd number past sqrt(limit) and
+        # hold SEGMENT_SIZE // 2 odd numbers each
+        span = SEGMENT_SIZE // 2
+        edge = segments * SEGMENT_SIZE + math.isqrt(segments * SEGMENT_SIZE)
+        limits = range(edge - 4, edge + 5)
+        fills = [(limit - (math.isqrt(limit) + 1 | 1)) // 2 + 1 for limit in limits]
+        assert {span * segments - 1, span * segments, span * segments + 1} <= set(fills)
+        ref = _simple_sieve(limits[-1])
+        for limit in limits:
+            np.testing.assert_array_equal(sieve_primes(limit), ref[ref <= limit])
+
+    @pytest.mark.parametrize("limit, count", [(2, 1), (3, 2), (4, 2), (10**6, 78498)])
+    def test_result_is_one_exact_int64_array(self, limit, count):
+        primes = sieve_primes(limit)
+        assert primes.dtype == np.int64 and len(primes) == count
+        assert primes.base is None and primes.nbytes == 8 * count  # no larger buffer behind it
+        assert not primes.flags.writeable
+
+    def test_primes_are_held_once(self):
+        # one buffer of the Rosser-Schoenfeld bound 1.25506 x / ln x (1.17
+        # pi(x) at 1e7) plus one segment's mask and primes: tracemalloc reads
+        # 8.53e6 bytes with numpy 2.4, and 11.4e6 for a sieve that keeps its
+        # segments and joins them
+        sieve_primes(1000)
+        tracemalloc.start()
+        try:
+            primes = sieve_primes(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * primes.nbytes + SEGMENT_SIZE
 
 
 class TestKronecker:
