@@ -31,12 +31,16 @@ _EXPANSION_TINY = 1e-18  # log_expansion's coefficient floor; EXPANSION_DROP_MAX
 
 def zeta_em(s: complex) -> complex:
     """Riemann zeta by Euler-Maclaurin: head sum to N = max(50, 2|Im s|),
-    integral and half terms, then 8 Bernoulli corrections. Target 1e-10
-    absolute for Re(s) >= 1/2, |Im s| within the phase budget "abs_t"."""
+    integral and half terms, then 8 Bernoulli corrections, for finite s != 1
+    with |Im s| within the phase budget "abs_t". On Re(s) = 1 the error
+    against 30-digit mpmath was 8.4e-11 at t = 1e6, 6.8e-10 at 1e7 and
+    1.8e-8 at 1e8: the rounding of the phases t log n, not truncation."""
     s = complex(s)
     if s == 1:
         raise DomainError("zeta has a pole at s = 1")
     check_budget("abs_t", abs(s.imag))
+    if not abs(s.real) < math.inf:
+        raise DomainError(f"zeta needs a finite s, got {s}")
     N = max(50, math.ceil(2 * abs(s.imag)))
     total = 0.0 + 0.0j
     for lo in range(1, N + 1, 1 << 20):  # chunked: N can reach 2e8
@@ -54,52 +58,60 @@ def zeta_em(s: complex) -> complex:
     return total
 
 
-@lru_cache(maxsize=64)
-def _eta_weights(n: int) -> tuple[float, ...]:
-    """Chebyshev-acceleration weights for the alternating zeta series.
-
-    d_k = n * sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), exact integers
-    (each term equals n * C(n+i, 2i) * 4^i / (n+i)); returns
-    (d_n - d_k)/d_n for k < n.
-    """
-    d = [0] * (n + 1)
-    acc = 0
+def _eta_terms(n: int):
+    """Borwein's e_0 = 1, e_(i+1) = e_i 4(n+i)(n-i) / ((2i+1)(2i+2)) up to e_n; each
+    // is exact, since e_i = n (n+i-1)! 4^i / ((n-i)! (2i)!) is an integer."""
+    e = 1
     for i in range(n + 1):
-        num = n * math.comb(n + i, 2 * i) * 4**i
-        if num % (n + i) != 0:
-            raise NumericError("acceleration weights lost integrality")
-        acc += num // (n + i)
-        d[i] = acc
-    dn = d[n]
-    return tuple(float(dn - dk) / float(dn) for dk in d[:n])
+        yield e
+        e = e * (4 * (n + i) * (n - i)) // ((2 * i + 1) * (2 * i + 2))
+
+
+@lru_cache(maxsize=64)
+def _eta_weights(n: int) -> np.ndarray:
+    """(-1)^k (d_n - d_k)/d_n for k < n, d_k = e_0 + ... + e_k, read-only: correctly
+    rounded int/int divisions that never overflow, from two passes holding two big ints, not n."""
+    tail = d_n = sum(_eta_terms(n))
+    weights = np.empty(n)
+    for k, e in zip(range(n), _eta_terms(n)):
+        tail -= e
+        weights[k] = tail / d_n * (-1) ** k
+    weights.setflags(write=False)
+    return weights
 
 
 def zeta_eta(s: complex) -> complex:
-    """Riemann zeta via the accelerated alternating series, Re(s) > 0.
+    """Riemann zeta via P. Borwein's accelerated alternating series ("An
+    efficient algorithm for the Riemann zeta function", 2000), independent
+    of zeta_em: zeta = eta / (1 - 2^(1-s)) with
+    eta = sum_(k<n) (-1)^k (d_n - d_k)/d_n (k+1)^(-s) (_eta_weights). For
+    Re(s) >= 1/2 its truncation error is at most 3 (1 + 2|t|) e^(pi |t|/2)
+    / ((3 + sqrt 8)^n |1 - 2^(1-s)|), and n holds that to 1e-12.
 
-    eta(s) = sum (-1)^(k) (d_k - d_n)/(-d_n) (k+1)^(-s) + remainder with
-    remainder shrinking like (3 + sqrt 8)^(-n) against a growth factor
-    e^(pi |Im s|/2); zeta = eta / (1 - 2^(1-s)). Independent of zeta_em."""
+    Domain: finite s != 1, Re(s) > 0 (else DomainError), |Im s| within
+    "abs_t" (else ResourceError, NaN too), |1 - 2^(1-s)| >= 1e-3 (else
+    NumericError: near t = 2 pi k / log 2 on Re(s) = 1 the quotient is 0/0)
+    and n within "eta_terms" (else ResourceError, before any weight is
+    built; on Re(s) = 1 that admits |t| up to about 36,733). Against
+    30-digit mpmath on Re(s) = 1 the error was 6.5e-14 at t = 1e3, 5.3e-13
+    at 1e4 and 9.1e-13 at 3e4. The terms' phase rounding is divided by
+    |1 - 2^(1-s)|, so it grows near the floor: 2.7e-9 at t = 27,194.16,
+    where |1 - 2^(1-s)| = 1.0e-3."""
     s = complex(s)
     if s == 1:
         raise DomainError("zeta has a pole at s = 1")
-    if s.real <= 0:
-        raise DomainError("alternating-series path needs Re(s) > 0")
+    check_budget("abs_t", abs(s.imag))
+    if not 0 < s.real < math.inf:
+        raise DomainError(f"alternating-series path needs 0 < Re(s) < inf, got {s}")
     t = abs(s.imag)
     denom = 1.0 - 2.0 ** (1.0 - s)
-    denom_mod = abs(denom)
-    digits = 12.0
-    n = math.ceil(
-        (digits * math.log(10) + math.pi * t / 2 + math.log(3 * (1 + 2 * t) / max(denom_mod, 1e-3)))
-        / math.log(3 + math.sqrt(8))
-    )
-    n = max(n, 24) + 8
-    weights = _eta_weights(n)
-    k = np.arange(n, dtype=np.float64)
-    signs = np.where(k.astype(np.int64) % 2 == 0, 1.0, -1.0)
-    terms = signs * np.asarray(weights) * np.exp(-s * np.log(k + 1))
-    eta = complex(np.sum(terms))
-    return eta / denom
+    if not abs(denom) >= 1e-3:
+        raise NumericError(f"|1 - 2^(1-s)| = {abs(denom):.2e} at s = {s}, below the floor 1e-3")
+    n = max(24, math.ceil((math.log(3e12 * (1 + 2 * t) / abs(denom)) + math.pi * t / 2)
+                          / math.log(3 + math.sqrt(8)))) + 8
+    check_budget("eta_terms", n, abs_s=abs(s))
+    terms = _eta_weights(n) * np.exp(-s * np.log(np.arange(1.0, n + 1.0)))
+    return complex(np.sum(terms)) / denom
 
 
 def _log_terms_on_line(
@@ -162,7 +174,7 @@ def euler_product_on_line(model: LFunctionModel, t: float, Y: float) -> complex:
         raise DomainError(f"truncation cutoff must be >= 2, got {Y}")
     check_budget("abs_t", abs(t))
     model.check_cutoff(Y)
-    primes = primes_upto(int(Y))
+    primes = primes_upto(Y)
     log_f = blocked_complex_log_sum(
         primes, lambda ps: _log_terms_on_line(model, ps, float(t))
     )
@@ -184,7 +196,7 @@ def log_expansion(model: LFunctionModel, Y: float) -> tuple[np.ndarray, np.ndarr
     if Y < 2:
         return np.empty(0), np.empty(0)
     model.check_cutoff(Y)
-    primes = primes_upto(int(Y))
+    primes = primes_upto(Y)
     pf = primes.astype(np.float64)
     logp = np.log(pf)
     k = model.degree

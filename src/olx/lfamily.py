@@ -209,15 +209,17 @@ def make_zeta_power(m: int) -> LFunctionModel:
 
 def dirichlet_direct(d: int, t: float) -> complex:
     """L(1 + it, chi_d) for a fundamental discriminant d != 1 within the
-    budget "abs_d", to 1e-9 absolute: the character series of charsum, whose
-    stated remainder and rounding bound is checked against that target.
+    budget "abs_d" and |t| within "abs_t", to 1e-9 absolute: the character
+    series of charsum, whose stated remainder and rounding bound is
+    checked against that target.
     Its phase rounding grows with |t|, so the check refuses beyond about
     |t| = 8e4 for d = -4 and 5e4 for d = 5."""
     check_budget("abs_d", abs(d), d=d)  # first: the squarefree test is trial division
+    check_budget("abs_t", abs(t))
     if not is_fundamental_discriminant(d):
         raise DomainError(f"{d} is not a fundamental discriminant != 1")
     value, bound = periodic_lseries(character_table(d), complex(1.0, float(t)))
-    if bound > 1e-9:
+    if not bound <= 1e-9:
         raise NumericError(f"character series error bound {bound:.2e} exceeds 1e-9")
     return complex(value)
 

@@ -36,7 +36,7 @@ def _sieve_limit(model: LFunctionModel, x: float) -> int:
     if x < 2:
         raise DomainError(f"truncated product needs x >= 2, got {x}")
     model.check_cutoff(x)
-    check_budget("sieve_limit", int(x))
+    check_budget("sieve_limit", x)
     return int(x)
 
 
@@ -57,8 +57,8 @@ def truncated_product_at_1(model: LFunctionModel, x: float) -> float:
 
 def mertens_prediction(model: LFunctionModel, x: float) -> float:
     """residue * e^(gamma*m) * (log x)^m."""
-    if x <= 1:
-        raise DomainError(f"prediction needs x > 1, got {x}")
+    if not 1 < x < math.inf:
+        raise DomainError(f"prediction needs 1 < x < inf, got {x}")
     m = model.pole_order
     return model.residue * math.exp(EULER_GAMMA * m) * math.log(x) ** m
 

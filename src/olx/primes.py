@@ -73,14 +73,20 @@ def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
     return primes
 
 
-@lru_cache(maxsize=6)
-def primes_upto(limit: int) -> np.ndarray:
+def primes_upto(limit: float) -> np.ndarray:
     """The primes <= limit as a read-only array, cached across calls.
 
     Every truncation cutoff Y reaches the primes through here, so this is
-    where the sieve budget "Y" is enforced.
+    where the sieve budget "Y" is enforced, on the cutoff as given: a
+    non-finite one is refused, and so is one a fraction above the limit.
+    The cache is keyed on int(limit).
     """
     check_budget("Y", limit)
+    return _sieved(int(limit))
+
+
+@lru_cache(maxsize=6)
+def _sieved(limit: int) -> np.ndarray:
     return sieve_primes(limit)
 
 

@@ -83,9 +83,9 @@ class MomentQuadrature:
 
 
 def _iterated_logs(T: float) -> tuple[float, float]:
-    """(log T, log_2 T); needs T > e^e so that log_3 T = log(log_2 T) > 0
-    is defined too."""
-    if not T > _E_TO_E:
+    """(log T, log_2 T); needs a finite T > e^e so that log_3 T =
+    log(log_2 T) > 0 is defined too."""
+    if not _E_TO_E < T < math.inf:
         raise DomainError(
             f"T must exceed e^e = {_E_TO_E:.6f} (iterated logarithms), got {T}"
         )
@@ -131,7 +131,7 @@ def resonance_products_at_cutoff(
     model.check_cutoff(X)
     if X < 2:
         return 1.0, 1.0, 1.0
-    primes = primes_upto(int(X))
+    primes = primes_upto(X)
     res = blocked_log_sum(primes, lambda ps: log_local_factor(model, ps, q_of_prime(ps, X)))
     mer = blocked_log_sum(primes, lambda ps: log_local_factor(model, ps))
     dft = blocked_log_sum(primes, lambda ps: _defect_terms(model, ps, X))
@@ -393,7 +393,7 @@ def _series_sum(
     halves: tuple[list, list] = ([], [])
     sizes, totals = [0.0, 0.0], [1.0, 1.0]
     tabs = [(math.log(p), *_weight_table(model, p, q_of_prime(p, X), delta, which))
-            for p in (int(v) for v in primes_upto(int(X)))]
+            for p in (int(v) for v in primes_upto(X))]
     # widest tables first keeps intermediate enumeration arrays small
     for logp, table, table_total in sorted(tabs, key=lambda t: -len(t[1])):
         k = 0 if sizes[0] <= sizes[1] else 1
@@ -445,7 +445,7 @@ def moment_series(
     """
     if X > X_MOMENTS_MAX:
         raise DomainError(f"moment integrals support X <= {X_MOMENTS_MAX}, got {X}")
-    if n_cutoff < 1:
+    if not n_cutoff >= 1:
         raise DomainError("n_cutoff must be >= 1")
     model.check_cutoff(X)
     cfg = resonator_config(T)
@@ -474,7 +474,7 @@ def _integrand_sums(
     r2 = np.ones_like(t)
     f_val = np.ones_like(t, dtype=np.complex128)
     if X >= 2:
-        primes = primes_upto(int(X))
+        primes = primes_upto(X)
         real, pair_re = model.root_blocks(primes)
         for i, p in enumerate(primes):
             p = int(p)
@@ -529,7 +529,7 @@ def quadrature_intervals(
     """The interval count n of moment_quadrature's middle level after its
     input checks; ResourceError when the sweep's 2n + 1 nodes exceed the
     budget "quad_nodes". Cheap, so a caller can refuse a run before other work."""
-    if not step > 0:
+    if not 0 < step < math.inf:
         raise DomainError("quadrature step must be positive")
     if X > X_MOMENTS_MAX:
         raise DomainError(f"moment integrals support X <= {X_MOMENTS_MAX}, got {X}")

@@ -144,7 +144,7 @@ def grid_scan(
     n_chunks = (n_points + chunk - 1) // chunk
     # selection tolerance: grid value vs log standalone magnitude (expsum docstring)
     k = model.degree
-    factor_rounding = (72 + 1.4 * (k - 1)) * k * float(np.sum(1.0 / primes_upto(int(Y))))
+    factor_rounding = (72 + 1.4 * (k - 1)) * k * float(np.sum(1.0 / primes_upto(Y)))
     eps = (bound
            + k * EXPANSION_DROP_MAX
            + 2.0**-53 * (factor_rounding + 24 * np.abs(coeff).sum() + 8))

@@ -1,11 +1,22 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from olx.charsum import periodic_lseries
-from olx.errors import BUDGETS, DomainError, RangeError, ResourceError, UnsupportedModelError
+from olx.errors import (
+    BUDGETS,
+    DomainError,
+    NumericError,
+    RangeError,
+    ResourceError,
+    UnsupportedModelError,
+)
 from olx.evaluate import (
+    _eta_terms,
+    _eta_weights,
     _log_terms_on_line,
     calibrate_truncation,
     dirichlet_direct,
@@ -80,6 +91,34 @@ class TestZetaAlternating:
         with pytest.raises(DomainError):
             zeta_eta(-0.5 + 1j)
 
+    def test_recurrence_matches_the_binomial_formula(self):
+        for n in range(1, 301):
+            # d_k = n sum_(i<=k) (n+i-1)! 4^i / ((n-i)! (2i)!), term i written
+            # n C(n+i, 2i) 4^i / (n+i)
+            d = list(itertools.accumulate(
+                n * math.comb(n + i, 2 * i) * 4**i // (n + i) for i in range(n + 1)))
+            assert list(itertools.accumulate(_eta_terms(n))) == d, n
+            want = [(d[n] - d[k]) / d[n] * (-1) ** k for k in range(n)]
+            weights = _eta_weights(n)
+            assert weights.tolist() == want, n
+            assert not weights.flags.writeable
+
+    @pytest.mark.parametrize("t", [500.0, 1e3, 1e4, 3e4])
+    def test_agrees_with_euler_maclaurin_up_the_line(self, t):
+        s = complex(1.0, t)
+        assert abs(zeta_eta(s) - zeta_em(s)) <= 1e-10
+
+    @pytest.mark.parametrize("k", [1, 40, 1000])
+    def test_refused_at_the_zeros_of_one_minus_two_to_one_minus_s(self, k):
+        with pytest.raises(NumericError):
+            zeta_eta(complex(1.0, 2.0 * math.pi * k / math.log(2.0)))
+
+    def test_term_budget_refuses_before_building_weights(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="alternating series needs"):
+            zeta_eta(complex(1.0, 1e5))
+        assert time.perf_counter() - start < 0.1
+
 
 class TestCrossOracle:
     def test_twenty_point_grid(self):
@@ -92,6 +131,13 @@ class TestCrossOracle:
 
 class TestMpmathOracle:
     """A third oracle, independent of both in-package paths; test-only."""
+
+    @pytest.mark.parametrize("t", [500.0, 1e3, 1e4, 3e4])
+    def test_alternating_series_on_the_line(self, t):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = complex(mpmath.zeta(mpmath.mpc(1, t)))
+        assert abs(zeta_eta(complex(1.0, t)) - ref) <= 1e-10
 
     def test_zeta_on_the_line(self):
         mpmath = pytest.importorskip("mpmath")

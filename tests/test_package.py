@@ -4,6 +4,7 @@ import pytest
 
 import olx
 from olx.errors import BUDGETS, ResourceError, check_budget
+from olx.evaluate import log_expansion
 
 
 def test_every_export_resolves():
@@ -38,3 +39,45 @@ def test_every_budget_admits_its_limit_and_refuses_past_it(name):
     with pytest.raises(ResourceError):
         check_budget(name, math.nan, **BUDGET_CONTEXT)
     assert row.reason
+
+
+ZETA = olx.make_zeta_power(1)
+# library calls that once returned NaN or inf, or raised a bare exception,
+# each with the OlxError it must raise instead
+BAD_INPUT = {
+    "moment_series-T-inf": (olx.DomainError, lambda: olx.moment_series(ZETA, 10, math.inf, 1e5)),
+    "moment_series-n_cutoff-nan": (olx.DomainError,
+                                   lambda: olx.moment_series(ZETA, 10, 5000, math.nan)),
+    "moment_quadrature-step-inf": (olx.DomainError,
+                                   lambda: olx.moment_quadrature(ZETA, 10, 5000, math.inf)),
+    "moment_quadrature-T-inf": (olx.DomainError,
+                                lambda: olx.moment_quadrature(ZETA, 10, math.inf, 0.04)),
+    "resonator_config-inf": (olx.DomainError, lambda: olx.resonator_config(math.inf)),
+    "asymptotic_bound-inf": (olx.DomainError, lambda: olx.asymptotic_bound(ZETA, math.inf)),
+    "resonance_product-inf": (olx.DomainError, lambda: olx.resonance_product(ZETA, math.inf)),
+    "resonance_products_at_cutoff-inf": (
+        ResourceError, lambda: olx.resonance_products_at_cutoff(ZETA, math.inf)),
+    "mertens_prediction-nan": (olx.DomainError, lambda: olx.mertens_prediction(ZETA, math.nan)),
+    "mertens_prediction-inf": (olx.DomainError, lambda: olx.mertens_prediction(ZETA, math.inf)),
+    "truncated_product_at_1-inf": (ResourceError,
+                                   lambda: olx.truncated_product_at_1(ZETA, math.inf)),
+    "euler_product_on_line-inf": (ResourceError,
+                                  lambda: olx.euler_product_on_line(ZETA, 1.0, math.inf)),
+    # the budget holds for the cutoff as given, not for int(Y)
+    "euler_product_on_line-Y-past-budget": (
+        ResourceError, lambda: olx.euler_product_on_line(ZETA, 1.0, BUDGETS["Y"].limit + 0.5)),
+    "log_expansion-inf": (ResourceError, lambda: log_expansion(ZETA, math.inf)),
+    "zeta_em-nan": (olx.DomainError, lambda: olx.zeta_em(complex(math.nan, 1.0))),
+    "zeta_em-inf": (olx.DomainError, lambda: olx.zeta_em(complex(math.inf, 0.0))),
+    "zeta_eta-t-nan": (ResourceError, lambda: olx.zeta_eta(complex(1.0, math.nan))),
+    "zeta_eta-sigma-nan": (olx.DomainError, lambda: olx.zeta_eta(complex(math.nan, 1.0))),
+    "dirichlet_direct-nan": (ResourceError, lambda: olx.dirichlet_direct(-4, math.nan)),
+    "dirichlet_direct-inf": (ResourceError, lambda: olx.dirichlet_direct(-4, math.inf)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, call", BAD_INPUT.values(), ids=list(BAD_INPUT))
+def test_bad_library_input_raises_an_olx_error(kind, call):
+    with pytest.raises(kind):
+        call()
