@@ -3,7 +3,7 @@ import math
 import pytest
 
 import olx
-from olx.errors import BUDGETS, ResourceError, check_budget
+from olx.errors import BUDGETS, DomainError, ResourceError, check_budget
 from olx.evaluate import log_expansion
 
 
@@ -42,23 +42,23 @@ def test_every_budget_admits_its_limit_and_refuses_past_it(name):
 
 
 ZETA = olx.make_zeta_power(1)
-# library calls that once returned NaN or inf, or raised a bare exception,
-# each with the OlxError it must raise instead
+# library calls with a non-finite or out-of-budget argument, each with the
+# OlxError it must raise in place of a NaN, an inf or a bare exception
 BAD_INPUT = {
-    "moment_series-T-inf": (olx.DomainError, lambda: olx.moment_series(ZETA, 10, math.inf, 1e5)),
-    "moment_series-n_cutoff-nan": (olx.DomainError,
+    "moment_series-T-inf": (DomainError, lambda: olx.moment_series(ZETA, 10, math.inf, 1e5)),
+    "moment_series-n_cutoff-nan": (DomainError,
                                    lambda: olx.moment_series(ZETA, 10, 5000, math.nan)),
-    "moment_quadrature-step-inf": (olx.DomainError,
+    "moment_quadrature-step-inf": (DomainError,
                                    lambda: olx.moment_quadrature(ZETA, 10, 5000, math.inf)),
-    "moment_quadrature-T-inf": (olx.DomainError,
+    "moment_quadrature-T-inf": (DomainError,
                                 lambda: olx.moment_quadrature(ZETA, 10, math.inf, 0.04)),
-    "resonator_config-inf": (olx.DomainError, lambda: olx.resonator_config(math.inf)),
-    "asymptotic_bound-inf": (olx.DomainError, lambda: olx.asymptotic_bound(ZETA, math.inf)),
-    "resonance_product-inf": (olx.DomainError, lambda: olx.resonance_product(ZETA, math.inf)),
+    "resonator_config-inf": (DomainError, lambda: olx.resonator_config(math.inf)),
+    "asymptotic_bound-inf": (DomainError, lambda: olx.asymptotic_bound(ZETA, math.inf)),
+    "resonance_product-inf": (DomainError, lambda: olx.resonance_product(ZETA, math.inf)),
     "resonance_products_at_cutoff-inf": (
         ResourceError, lambda: olx.resonance_products_at_cutoff(ZETA, math.inf)),
-    "mertens_prediction-nan": (olx.DomainError, lambda: olx.mertens_prediction(ZETA, math.nan)),
-    "mertens_prediction-inf": (olx.DomainError, lambda: olx.mertens_prediction(ZETA, math.inf)),
+    "mertens_prediction-nan": (DomainError, lambda: olx.mertens_prediction(ZETA, math.nan)),
+    "mertens_prediction-inf": (DomainError, lambda: olx.mertens_prediction(ZETA, math.inf)),
     "truncated_product_at_1-inf": (ResourceError,
                                    lambda: olx.truncated_product_at_1(ZETA, math.inf)),
     "euler_product_on_line-inf": (ResourceError,
@@ -67,10 +67,10 @@ BAD_INPUT = {
     "euler_product_on_line-Y-past-budget": (
         ResourceError, lambda: olx.euler_product_on_line(ZETA, 1.0, BUDGETS["Y"].limit + 0.5)),
     "log_expansion-inf": (ResourceError, lambda: log_expansion(ZETA, math.inf)),
-    "zeta_em-nan": (olx.DomainError, lambda: olx.zeta_em(complex(math.nan, 1.0))),
-    "zeta_em-inf": (olx.DomainError, lambda: olx.zeta_em(complex(math.inf, 0.0))),
+    "zeta_em-nan": (DomainError, lambda: olx.zeta_em(complex(math.nan, 1.0))),
+    "zeta_em-inf": (DomainError, lambda: olx.zeta_em(complex(math.inf, 0.0))),
     "zeta_eta-t-nan": (ResourceError, lambda: olx.zeta_eta(complex(1.0, math.nan))),
-    "zeta_eta-sigma-nan": (olx.DomainError, lambda: olx.zeta_eta(complex(math.nan, 1.0))),
+    "zeta_eta-sigma-nan": (DomainError, lambda: olx.zeta_eta(complex(math.nan, 1.0))),
     "dirichlet_direct-nan": (ResourceError, lambda: olx.dirichlet_direct(-4, math.nan)),
     "dirichlet_direct-inf": (ResourceError, lambda: olx.dirichlet_direct(-4, math.inf)),
 }
