@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, NumericError, check_budget
+from .summation import BLOCK
 
 # B_2, B_4, ..., B_16: the Euler-Maclaurin corrections here and in zeta_em
 EM_BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730, 7.0 / 6,
@@ -54,8 +55,8 @@ def periodic_lseries(chi: np.ndarray, s: complex) -> tuple[complex, float]:
     chi_f = np.asarray(chi, dtype=np.float64)
     head = 0.0 + 0.0j
     phase = 0.0  # sum |chi(n)| |t| log n / n over the head
-    for lo in range(1, M + 1, 1 << 20):  # chunked: M can reach the head budget
-        k = np.arange(lo, min(lo + (1 << 20), M + 1))
+    for lo in range(1, M + 1, BLOCK):  # M can reach the head budget
+        k = np.arange(lo, min(lo + BLOCK, M + 1))
         n = k.astype(np.float64)
         w = chi_f[k % q] / n
         if t == 0.0:

@@ -64,10 +64,10 @@ BUDGETS = {
                          "{limit}; raise step or lower T", "13 s at 0.3-0.45 us per node, X = 18"),
     "charsum_head": Budget(1 << 27, "character series needs a head of {value} terms for period "
                            "{period} at |s| = {abs_s:.3g}; beyond budget",
-                           "about 9 s: a head of 2.6e7 terms took 1.6-2.0 s"),
+                           "about 7 s: a head of 2.6e7 terms took 1.3-2.0 s in blocks of 2^16"),
     "eta_terms": Budget(1 << 15, "alternating series needs {value} terms at |s| = {abs_s:.3g}, "
                         "beyond the budget {limit}", "|t| <= 36,733 on Re(s) = 1; the weights of "
-                        "2^15 terms, two passes over integers of 83,000 bits, took 2.7-3.2 s"),
+                        "2^15 terms, one pass over integers of 83,000 bits, took 2.4-2.5 s"),
 }
 
 

@@ -16,6 +16,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -23,28 +24,31 @@ from .charsum import EM_BERNOULLI
 from .errors import DomainError, NumericError, UnsupportedModelError, check_budget
 from .lfamily import LFunctionModel, dirichlet_direct, power_sum
 from .primes import primes_upto
-from .summation import LOG_FLOAT_MAX, blocked_complex_log_sum, worker_cap
+from .summation import BLOCK, LOG_FLOAT_MAX, blocked_complex_log_sum, worker_cap
 
 EXPANSION_DROP_MAX = 1e-13  # per unit of degree; see log_expansion
 _EXPANSION_TINY = 1e-18  # log_expansion's coefficient floor; EXPANSION_DROP_MAX holds at it
 
 
 def zeta_em(s: complex) -> complex:
-    """Riemann zeta by Euler-Maclaurin: head sum to N = max(50, 2|Im s|),
-    integral and half terms, then 8 Bernoulli corrections, for finite s != 1
-    with |Im s| within the phase budget "abs_t". On Re(s) = 1 the error
-    against 30-digit mpmath was 8.4e-11 at t = 1e6, 6.8e-10 at 1e7 and
-    1.8e-8 at 1e8: the rounding of the phases t log n, not truncation."""
+    """Riemann zeta by Euler-Maclaurin: head sum to N = max(50, 2|Im s|) in
+    blocks of summation.BLOCK terms, so a call holds one block's
+    temporaries (2.5 MiB traced at t = 1e6), integral and half terms, then 8
+    Bernoulli corrections, for s != 1 with 0 < Re(s) <= 1e18 (past about
+    1e19 the corrections' rising product overflows) and |Im s| within the
+    phase budget "abs_t". On Re(s) = 1 the error against 30-digit mpmath
+    was 8.4e-11 at t = 1e6, 6.8e-10 at 1e7 and 1.8e-8 at 1e8: the rounding
+    of the phases t log n, not truncation."""
     s = complex(s)
     if s == 1:
         raise DomainError("zeta has a pole at s = 1")
     check_budget("abs_t", abs(s.imag))
-    if not abs(s.real) < math.inf:
-        raise DomainError(f"zeta needs a finite s, got {s}")
+    if not 0 < s.real <= 1e18:
+        raise DomainError(f"zeta needs 0 < Re(s) <= 1e18, got {s}")
     N = max(50, math.ceil(2 * abs(s.imag)))
     total = 0.0 + 0.0j
-    for lo in range(1, N + 1, 1 << 20):  # chunked: N can reach 2e8
-        n = np.arange(lo, min(lo + (1 << 20), N + 1), dtype=np.float64)
+    for lo in range(1, N + 1, BLOCK):
+        n = np.arange(lo, min(lo + BLOCK, N + 1), dtype=np.float64)
         total += complex(np.sum(np.exp(-s * np.log(n))))
     nf = float(N)
     total += nf ** (1 - s) / (s - 1) - 0.5 * nf ** (-s)
@@ -70,8 +74,12 @@ def _eta_terms(n: int):
 @lru_cache(maxsize=64)
 def _eta_weights(n: int) -> np.ndarray:
     """(-1)^k (d_n - d_k)/d_n for k < n, d_k = e_0 + ... + e_k, read-only: correctly
-    rounded int/int divisions that never overflow, from two passes holding two big ints, not n."""
-    tail = d_n = sum(_eta_terms(n))
+    rounded int/int divisions that never overflow, holding two big ints, not n. d_n
+    is T_n(3) = ((3 + sqrt 8)^n + (3 - sqrt 8)^n)/2, from x_(k+1) = 6 x_k - x_(k-1)."""
+    before, d_n = 3, 1  # T_-1(3), T_0(3)
+    for _ in range(n):
+        before, d_n = d_n, 6 * d_n - before
+    tail = d_n
     weights = np.empty(n)
     for k, e in zip(range(n), _eta_terms(n)):
         tail -= e
@@ -89,14 +97,15 @@ def zeta_eta(s: complex) -> complex:
     / ((3 + sqrt 8)^n |1 - 2^(1-s)|), and n holds that to 1e-12.
 
     Domain: finite s != 1, Re(s) > 0 (else DomainError), |Im s| within
-    "abs_t" (else ResourceError, NaN too), |1 - 2^(1-s)| >= 1e-3 (else
-    NumericError: near s = 1 + 2 pi i k / log 2 the quotient is 0/0; k = 0
-    refuses |s - 1| < 1.44e-3) and n within "eta_terms" (else ResourceError, before any weight is
-    built; on Re(s) = 1 that admits |t| up to about 36,733). Against
-    30-digit mpmath on Re(s) = 1 the error was 6.5e-14 at t = 1e3, 5.3e-13
-    at 1e4 and 9.1e-13 at 3e4. The terms' phase rounding is divided by
-    |1 - 2^(1-s)|, so it grows near the floor: 2.7e-9 at t = 27,194.16,
-    where |1 - 2^(1-s)| = 1.0e-3."""
+    "abs_t" (else ResourceError, NaN too), |1 - 2^(1-s)| >= max(1e-3,
+    3e-6 |t|) (else NumericError: near s = 1 + 2 pi i k / log 2 the quotient
+    is 0/0; k = 0 refuses |s - 1| < 1.44e-3) and n within "eta_terms" (else
+    ResourceError, before any weight is built; on Re(s) = 1 that admits |t|
+    up to about 36,733). Against 30-digit mpmath on Re(s) = 1 the error was
+    6.5e-14 at t = 1e3, 5.3e-13 at 1e4 and 9.1e-13 at 3e4. Near the floor
+    the terms' phase rounding, divided by |1 - 2^(1-s)|, dominates: over 35
+    points at t = 544 to 36,622 the error was at most 2.0e-16 |t| /
+    |1 - 2^(1-s)|, so the floor's 3e-6 |t| holds it below 6.7e-11."""
     s = complex(s)
     if s == 1:
         raise DomainError("zeta has a pole at s = 1")
@@ -105,8 +114,10 @@ def zeta_eta(s: complex) -> complex:
         raise DomainError(f"alternating-series path needs 0 < Re(s) < inf, got {s}")
     t = abs(s.imag)
     denom = 1.0 - 2.0 ** (1.0 - s)
-    if not abs(denom) >= 1e-3:
-        raise NumericError(f"|1 - 2^(1-s)| = {abs(denom):.2e} at s = {s}, below the floor 1e-3")
+    floor = max(1e-3, 3e-6 * t)  # the phase rounding, about 2e-16 |t|, over at most 6.7e-11
+    if not abs(denom) >= floor:
+        raise NumericError(f"|1 - 2^(1-s)| = {abs(denom):.2e} at s = {s}, below the floor "
+                           f"{floor:.2e}")
     n = max(24, math.ceil((math.log(3e12 * (1 + 2 * t) / abs(denom)) + math.pi * t / 2)
                           / math.log(3 + math.sqrt(8)))) + 8
     check_budget("eta_terms", n, abs_s=abs(s))
@@ -281,8 +292,10 @@ def calibrate_truncation(
     deviations are an empirical stand-in for the (numerically unreachable)
     asymptotic truncation rate. Samples run on worker_cap() threads and
     are gathered in sample order, so the result is the same for any count."""
-    if sample_count < 1:
-        raise DomainError("calibration needs sample_count >= 1")
+    if not (isinstance(sample_count, Integral) and sample_count >= 1):
+        raise DomainError(f"calibration needs an integer sample_count >= 1, got {sample_count!r}")
+    if not isinstance(seed, Integral):
+        raise DomainError(f"calibration needs an integer seed, got {seed!r}")
     check_budget("samples", sample_count)
     lo, hi = float(t_range[0]), float(t_range[1])
     if not lo < hi:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -167,8 +168,8 @@ def tau_table(N: int) -> TauTable:
     the Chinese remainder theorem, which is exact because
     |tau(n)| <= d(n) n^(11/2) <= 2 n^6 < M/2 for the moduli product M.
     """
-    if N < 1:
-        raise DomainError("tau table needs N >= 1")
+    if not (isinstance(N, Integral) and N >= 1):
+        raise DomainError(f"tau table needs an integer N >= 1, got {N!r}")
     check_budget("tau_N", N)
     M = math.prod(_TAU_MODULI)
     if 4 * N**6 >= M:
@@ -193,8 +194,9 @@ def tau_table(N: int) -> TauTable:
 
 def make_zeta_power(m: int) -> LFunctionModel:
     """The m-th power of the Riemann zeta model: all local roots 1."""
-    if m < 1:
-        raise DomainError("zeta power needs m >= 1 (the pole drives everything)")
+    if not (isinstance(m, Integral) and m >= 1):
+        raise DomainError(f"zeta power needs an integer m >= 1 (the pole drives everything), "
+                          f"got {m!r}")
     check_budget("zeta_power", m)
     label = "zeta" if m == 1 else f"zeta^{m}"
     return LFunctionModel(
@@ -216,8 +218,8 @@ def dirichlet_direct(d: int, t: float) -> complex:
     |t| = 8e4 for d = -4 and 5e4 for d = 5."""
     check_budget("abs_d", abs(d), d=d)  # first: the squarefree test is trial division
     check_budget("abs_t", abs(t))
-    if not is_fundamental_discriminant(d):
-        raise DomainError(f"{d} is not a fundamental discriminant != 1")
+    if not (isinstance(d, Integral) and is_fundamental_discriminant(d)):
+        raise DomainError(f"{d!r} is not a fundamental discriminant != 1")
     value, bound = periodic_lseries(character_table(d), complex(1.0, float(t)))
     if not bound <= 1e-9:
         raise NumericError(f"character series error bound {bound:.2e} exceeds 1e-9")
@@ -279,8 +281,8 @@ def sym2_residue(P: int) -> tuple[float, float]:
     stays below 0.72 P^(-1/2) for every P in 2..20000 (0.39 P^(-1/2) from
     P = 50 on).
     """
-    if P < 2:
-        raise DomainError("symmetric-square product needs P >= 2")
+    if not (isinstance(P, Integral) and P >= 2):
+        raise DomainError(f"symmetric-square product needs an integer P >= 2, got {P!r}")
     primes, lam_sq = _rs_lambda_sq(P)
     pf = primes.astype(np.float64)
     # conjugate pair a^2, b^2 with Re = lam_sq/2 - 1, modulus 1
@@ -298,8 +300,8 @@ def make_rankin_selberg_delta(N: int) -> LFunctionModel:
     roots a + b = lambda, ab = 1; the local roots are [a^2, 1, 1, b^2].
     Only primes up to the table size N carry coefficients.
     """
-    if N < 2:
-        raise DomainError("coefficient table needs N >= 2")
+    if not (isinstance(N, Integral) and N >= 2):
+        raise DomainError(f"coefficient table needs an integer N >= 2, got {N!r}")
     primes, lam_sq = _rs_lambda_sq(N)
     residue, tail = sym2_residue(N)
     lam_sq.setflags(write=False)
@@ -320,6 +322,8 @@ def power_sum(model: LFunctionModel, primes: np.ndarray, r: int | np.ndarray) ->
     """P_r(p) = sum_j alpha_j(p)^r over a block of primes, r >= 1 an integer
     or an integer array broadcasting against the block: real roots to the
     r-th power, each unit-modulus pair e^(+-i theta) as 2 cos(r theta)."""
+    if not (np.asarray(r).dtype.kind in "iu" and np.all(np.greater_equal(r, 1))):
+        raise DomainError(f"power sums need integer orders r >= 1, got {r!r}")
     real, pair_re = model.root_blocks(primes)
     total = np.zeros(len(primes))
     for j in range(real.shape[1]):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -41,6 +42,8 @@ def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
     """
     if not limit >= 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
+    if not (isinstance(segment_size, Integral) and segment_size >= 1):
+        raise DomainError(f"sieve segment size must be an integer >= 1, got {segment_size!r}")
     check_budget("sieve_limit", limit)
     limit = int(limit)
     root = math.isqrt(limit)
@@ -96,10 +99,10 @@ def kronecker(d: int, n: int) -> int:
     Computed with the reciprocity algorithm (no factorization of n), so
     n may be large. Completely multiplicative in n with period |d|.
     """
-    if d == 0:
-        raise DomainError("kronecker symbol requires d != 0")
-    if n < 1:
-        raise DomainError(f"kronecker symbol requires n >= 1, got {n}")
+    if not (isinstance(d, Integral) and d != 0):
+        raise DomainError(f"kronecker symbol requires an integer d != 0, got {d!r}")
+    if not (isinstance(n, Integral) and n >= 1):
+        raise DomainError(f"kronecker symbol requires an integer n >= 1, got {n!r}")
     a, b = d, n
     result = 1
     if b % 2 == 0:

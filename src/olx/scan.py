@@ -177,9 +177,9 @@ def refine_peak(
     t_seed + bracket] within the phase budget "abs_t"; stops when the
     bracket is below tol. Returns the best record it evaluated, ties
     toward smaller t; the seed is among them, so no refinement loses it."""
-    if tol < 1e-9:
+    if not tol >= 1e-9:
         raise DomainError(f"refinement tolerance must be >= 1e-9, got {tol}")
-    if bracket <= 0:
+    if not bracket > 0:
         raise DomainError("bracket half-width must be positive")
     seen: list[ScanRecord] = []
 
@@ -213,8 +213,10 @@ def bound_report(
     records: list[ScanRecord], model: LFunctionModel, T: float
 ) -> BoundReport:
     """Compare the best record against the growth prediction at scale T."""
-    if not records:
-        raise DomainError("bound report needs at least one scan record")
+    if not (records and all(abs(r.t) < math.inf and 0 <= r.magnitude < math.inf
+                            for r in records)):
+        raise DomainError("bound report needs at least one scan record, each with a finite "
+                          "t and magnitude >= 0")
     best = max(records, key=lambda r: (r.magnitude, -r.t))
     bound = asymptotic_bound(model, T)
     conj = bound if model.pole_order == 1 else None

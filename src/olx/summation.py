@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 
-BLOCK_PRIMES = 1 << 16
+BLOCK = 1 << 16  # prime-sum and oracle-head terms, or enumeration cells, per block
 
 LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))
 
@@ -69,8 +69,8 @@ def blocked_log_sum(
     """
 
     def block_sums() -> Iterator[float]:
-        for lo in range(0, len(primes), BLOCK_PRIMES):
-            yield float(np.sum(term_fn(primes[lo : lo + BLOCK_PRIMES])))
+        for lo in range(0, len(primes), BLOCK):
+            yield float(np.sum(term_fn(primes[lo : lo + BLOCK])))
 
     return neumaier_sum(block_sums())
 
@@ -91,7 +91,7 @@ def blocked_complex_log_sum(
     imaginary parts of the per-prime terms as two arrays, and each part is
     reduced and compensated independently."""
     sums = [
-        tuple(float(np.sum(part)) for part in term_fn(primes[lo : lo + BLOCK_PRIMES]))
-        for lo in range(0, len(primes), BLOCK_PRIMES)
+        tuple(float(np.sum(part)) for part in term_fn(primes[lo : lo + BLOCK]))
+        for lo in range(0, len(primes), BLOCK)
     ]
     return complex(neumaier_sum(s[0] for s in sums), neumaier_sum(s[1] for s in sums))

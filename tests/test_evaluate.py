@@ -1,11 +1,12 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from olx.charsum import periodic_lseries
+from olx.charsum import EM_BERNOULLI, periodic_lseries
 from olx.errors import (
     BUDGETS,
     DomainError,
@@ -410,3 +411,119 @@ class TestCalibration:
         v1 = direct_value(zeta2, t)
         v2 = zeta_em(complex(1.0, t)) ** 2
         assert abs(v1 - v2) < 1e-14 * abs(v2)
+
+
+def near_zero_of_the_eta_factor(k, distance):
+    """The height t = 2 pi k / log 2 + delta > 0 at which |1 - 2^(-it)| = |distance|,
+    on the side of the sign of distance."""
+    return (2.0 * math.pi * k + 2.0 * math.asin(distance / 2.0)) / math.log(2.0)
+
+
+class TestEtaFloor:
+    # the error there was 9.2e-10, 2.7e-9, 1.45e-10 and 3.9e-10 under the
+    # fixed floor 1e-3
+    @pytest.mark.parametrize("k, distance", [(1000, 1e-3), (3000, 1e-3), (3000, 1e-2),
+                                             (4000, 1e-2)])
+    def test_refused_where_the_phase_rounding_passes_the_target(self, k, distance):
+        with pytest.raises(NumericError, match="below the floor"):
+            zeta_eta(complex(1.0, near_zero_of_the_eta_factor(k, distance)))
+
+    @pytest.mark.parametrize("k, side", [(1000, 1), (3000, -1), (4000, 1)])
+    def test_just_outside_the_floor_agrees_with_mpmath(self, k, side):
+        mpmath = pytest.importorskip("mpmath")
+        t0 = 2.0 * math.pi * k / math.log(2.0)
+        t = near_zero_of_the_eta_factor(k, side * 1.01 * 3e-6 * t0)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.zeta(mpmath.mpc(1, t)))
+        assert abs(zeta_eta(complex(1.0, t)) - ref) <= 1e-10
+
+
+def test_eta_weights_match_the_two_pass_construction():
+    # d_n from the Chebyshev recurrence against d_n summed from the terms
+    n = 4097
+    tail = d_n = sum(_eta_terms(n))
+    want = []
+    for k, e in zip(range(n), _eta_terms(n)):
+        tail -= e
+        want.append(tail / d_n * (-1) ** k)
+    assert _eta_weights(n).tolist() == want
+
+
+def zeta_em_in_2_20_chunks(s):
+    """zeta_em as it summed its head in chunks of 2^20 terms."""
+    N = max(50, math.ceil(2 * abs(s.imag)))
+    total = 0.0 + 0.0j
+    for lo in range(1, N + 1, 1 << 20):
+        n = np.arange(lo, min(lo + (1 << 20), N + 1), dtype=np.float64)
+        total += complex(np.sum(np.exp(-s * np.log(n))))
+    nf = float(N)
+    total += nf ** (1 - s) / (s - 1) - 0.5 * nf ** (-s)
+    rising, fact = s, 1.0
+    for j, b in enumerate(EM_BERNOULLI, start=1):
+        fact *= (2 * j - 1) * (2 * j)
+        total += (b / fact) * rising * nf ** (-s - (2 * j - 1))
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    return total
+
+
+def lseries_in_2_20_chunks(chi, s):
+    """periodic_lseries' value as it summed its head in chunks of 2^20 terms."""
+    q, t = len(chi), s.imag
+    M = q * max(2, math.ceil(max(4096, 16 * q, 8 * q * (1 + abs(s))) / q))
+    chi_f = np.asarray(chi, dtype=np.float64)
+    head = 0.0 + 0.0j
+    for lo in range(1, M + 1, 1 << 20):
+        k = np.arange(lo, min(lo + (1 << 20), M + 1))
+        n = k.astype(np.float64)
+        w = chi_f[k % q] / n
+        if t == 0.0:
+            head += float(np.sum(w))
+        else:
+            phi = t * np.log(n)
+            head += complex(np.sum(w * np.cos(phi)), -np.sum(w * np.sin(phi)))
+    a = np.arange(1, q + 1)
+    n = M + a.astype(np.float64)
+    corr = np.full(q, 0.5 + 0.0j)
+    rising, fact = s, 1.0
+    for j, b in enumerate(EM_BERNOULLI, start=1):
+        fact *= (2 * j - 1) * (2 * j)
+        corr += (b / fact) * rising * (q / n) ** (2 * j - 1)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    delta = np.log1p(a / M)
+    pole = (-delta / q) * np.exp(-1j * t * (math.log(M) + 0.5 * delta))
+    pole *= np.sinc(t * delta / (2.0 * math.pi))
+    return head + complex(np.sum(chi_f[a % q] * (np.exp(-s * np.log(n)) * corr + pole)))
+
+
+class TestBlockedHeads:
+    """The oracle heads run in blocks of summation.BLOCK = 2^16 terms: a head
+    of one block keeps the bits it had in 2^20-term chunks, and no head holds
+    more than a block's temporaries."""
+
+    @pytest.mark.parametrize("t", [7.0, 171.76, 999.9, 3e4])
+    def test_zeta_em_in_one_block_keeps_its_bits(self, t):
+        s = complex(1.0, t)
+        assert zeta_em(s) == zeta_em_in_2_20_chunks(s)
+
+    @pytest.mark.parametrize("t", [100.0, 1000.0, 2046.0])  # heads of 4,096 to 65,508 terms
+    def test_character_series_in_one_block_keeps_its_bits(self, t):
+        assert dirichlet_direct(-4, t) == lseries_in_2_20_chunks(character_table(-4),
+                                                                 complex(1.0, t))
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        fn(*args)  # caches (the character table) filled outside the trace
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_zeta_em_peak(self):
+        # 2e6 head terms: 2.5 MiB in blocks of 2^16, 40 MiB in chunks of 2^20
+        assert self.traced_peak(zeta_em, complex(1.0, 1e6)) < 8 * 2**20
+
+    def test_character_series_peak(self):
+        # 1.6e6 head terms: 3.0 MiB in blocks of 2^16, 40 MiB in chunks of 2^20
+        assert self.traced_peak(dirichlet_direct, -4, 5e4) < 8 * 2**20

@@ -263,6 +263,11 @@ class TestMemoryPeaks:
         # with a fresh chunk array allocated beside the previous one
         assert self.traced_peak(moment_quadrature, zeta, 10.0, 5000.0, 0.004) < 20 * 2**20
 
+    def test_quadrature_sums_each_block_into_the_levels(self, zeta):
+        # 3.6e6 nodes at X = 18: 4.3 MiB with each 2^15-node block summed
+        # straight into the levels, 15.5 MiB through a (3, 2^19) buffer
+        assert self.traced_peak(moment_quadrature, zeta, 18.0, 5000.0, 0.004) < 8 * 2**20
+
     def test_series_peak_not_above_one_shot_enumeration(self, zeta):
         moment_series(zeta, 14.0, 5000.0, 10**5)  # prime tables cached outside the peak
         # 8,458,514 bytes with one-shot enumeration and both halves' unsorted
@@ -449,7 +454,7 @@ class TestTrapezoidSweep:
         assert sum(seen) == 2 * n + 1
 
     def test_levels_match_single_level_trapezoid(self, gauss):
-        # step 0.02 puts the sweep's 7.2e5 nodes in two chunks of at most 2^19
+        # step 0.02 puts the sweep's 7.2e5 nodes in 22 blocks of 2^15, the last one short
         X = 10.0
         eps = resonator_config(self.T).eps
         t_max, n = self.intervals(0.02)
