@@ -128,8 +128,9 @@ def _is_squarefree(n: int) -> bool:
 
 
 def is_fundamental_discriminant(d: int) -> bool:
-    """d = 1 mod 4 squarefree, or d = 4m with m = 2,3 mod 4 squarefree; d != 1."""
-    if d in (0, 1):
+    """d = 1 mod 4 squarefree, or d = 4m with m = 2,3 mod 4 squarefree; d != 1.
+    False for anything but an integer (5.0 included), as dirichlet_direct refuses it."""
+    if not isinstance(d, Integral) or d in (0, 1):
         return False
     if d % 4 == 1:
         return _is_squarefree(abs(d))
@@ -218,7 +219,7 @@ def dirichlet_direct(d: int, t: float) -> complex:
     |t| = 8e4 for d = -4 and 5e4 for d = 5."""
     check_budget("abs_d", abs(d), d=d)  # first: the squarefree test is trial division
     check_budget("abs_t", abs(t))
-    if not (isinstance(d, Integral) and is_fundamental_discriminant(d)):
+    if not is_fundamental_discriminant(d):
         raise DomainError(f"{d!r} is not a fundamental discriminant != 1")
     value, bound = periodic_lseries(character_table(d), complex(1.0, float(t)))
     if not bound <= 1e-9:

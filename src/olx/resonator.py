@@ -176,24 +176,6 @@ def resonance_product(
 # ---------------------------------------------------------------------------
 
 
-def _local_b(
-    model: LFunctionModel, p: int, q: float, xmax: int
-) -> np.ndarray:
-    """b(p^x) = sum_{v<=x} c(p^v) q^(x-v) with c(p^v) = a(p^v) p^(-v):
-    the local Dirichlet coefficients of F(.; X) convolved with the
-    geometric q-weights."""
-    # p^-v via exp so deep tables underflow to zero instead of overflowing
-    c = local_coefficients(model, p, xmax) * np.exp(
-        -math.log(p) * np.arange(xmax + 1)
-    )
-    b = np.empty(xmax + 1)
-    acc_prev = 0.0
-    for x in range(xmax + 1):
-        acc_prev = acc_prev * q + c[x]
-        b[x] = acc_prev
-    return b
-
-
 def _weight_table(
     model: LFunctionModel, p: int, q: float, delta: float, which: str
 ) -> tuple[np.ndarray, float]:
@@ -201,33 +183,39 @@ def _weight_table(
     and its closed-form total over all of Z.
 
     I2: w2(f) = q^|f| / (1 - q^2)            (pair side m vs n, common part summed)
-        total (1 + q) / ((1 - q)(1 - q^2))
-    I1: w1(f) = sum_j b(p^(j+f+)) q^(j+f-)   (b-side vs q-side exponent difference)
-        total (sum_x b(p^x)) * (sum_y q^y): the double geometric sum factorizes
+        total (1 + q) / ((1 - q)(1 - q^2)) = 1 / (1 - q)^2
+    I1: w1(f) = sum_(x - y = f) b(p^x) q^y   (b-side vs q-side exponent difference)
+        with b(p^x) = sum_(v<=x) c_v q^(x-v) and c_v = a(p^v) p^(-v), the
+        local Dirichlet coefficients of F(.; X). Put x = v + u and swap the
+        sums: w1(f) = sum_v c_v sum_(u - y = f - v) q^(u+y) = sum_v c_v w2(f - v),
+        so w1 = c * w2, one convolution, and its total is (sum_v c_v) times
+        the I2 total, sum_v c_v being the Euler factor
+        L_p(1) = prod_j (1 - alpha_j/p)^(-1).
 
     At q = 0 (p = X) only offsets f >= 0 carry weight (f = 0 alone for
     I2) and the formulas still hold; only fmax is set by p instead of the
-    rate max(q, 1/p).
-    The I1 table and total share one b table: its prefix does not depend
-    on its depth, so the total reads the first 65 entries of the table.
+    rate max(q, 1/p). Either way p^(-fmax) <= delta. c is taken to
+    vmax = fmax + 64; as |alpha_j| <= 1, c_v <= C(v + d - 1, d - 1) p^(-v)
+    for degree d, so for d <= 4 the terms dropped beyond vmax sum to less
+    than 1e-18 c_0, and c_0 = 1 is at most (1 - q^2) times the largest
+    entry. Every c_v is >= 0 for the models here, so a short vmax (higher
+    zeta powers) only lowers entries, and the allowance built on the
+    closed-form total still holds.
     """
     rate = max(q, 1.0 / p)
     if q > 0.0:
         fmax = max(2, math.ceil(math.log(delta * 1e-3) / math.log(rate)))
     else:
         fmax = max(1, math.ceil(math.log(1.0 / delta) / math.log(p)))
+    total = (1.0 + q) / ((1.0 - q) * (1.0 - q * q))
     if which == "I2":
-        total = (1.0 + q) / ((1.0 - q) * (1.0 - q * q))
         return q ** np.abs(np.arange(-fmax, fmax + 1)) / (1.0 - q * q), total
-    jmax = fmax + max(8, math.ceil(math.log(1e-20) / math.log(max(q * q, 1e-12))))
-    b = _local_b(model, p, q, max(64, fmax + jmax + 1))
-    total = (float(np.sum(b[:65])) + float(b[64]) * rate / (1.0 - rate)) / (1.0 - q)
-    w1 = np.empty(2 * fmax + 1)
-    qj = q ** np.arange(jmax)
-    for idx, f in enumerate(range(-fmax, fmax + 1)):
-        fp, fm = max(f, 0), max(-f, 0)
-        w1[idx] = float(np.dot(b[fp : fp + jmax], qj * (q**fm)))
-    return w1, total
+    vmax = fmax + 64
+    # p^-v via exp so deep tables underflow to zero instead of overflowing
+    c = local_coefficients(model, p, vmax) * np.exp(-math.log(p) * np.arange(vmax + 1))
+    w2 = q ** np.abs(np.arange(-fmax - vmax, fmax + 1)) / (1.0 - q * q)
+    local = exp_of_log(float(log_local_factor(model, np.array([p]))[0]), f"L_{p}(1)")
+    return np.convolve(c, w2, "valid"), total * local
 
 
 def _enumerate_half(
@@ -434,7 +422,9 @@ def moment_series(
     box-moment pair sum. truncation_bound, sqrt(pi)/eps times the sum of
     both moments' allowances, is rigorous up to rounding: its three terms
     are the lag cut, the Cramer remainder of the Taylor orders >= 30, and
-    the weight the floor dropped. It grows, and never silently, when
+    the weight the floor dropped. Both moments' weight totals are closed
+    forms (`_weight_table`), so the last term holds for every zeta power.
+    It grows, and never silently, when
     n_cutoff is too small for the requested accuracy. X <= 50 is the
     supported range, but the 12M-item enumeration budget binds first.
     Measured for zeta at T = 5000 on a 2-core Xeon VM (numpy 2.4), one

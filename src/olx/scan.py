@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -110,8 +111,8 @@ def grid_scan(
     merge).
     """
     t_min, t_max, step, Y = float(t_min), float(t_max), float(step), float(Y)
-    if top_k < 1:
-        raise DomainError("top_k must be >= 1")
+    if not (isinstance(top_k, Integral) and top_k >= 1):
+        raise DomainError(f"top_k must be an integer >= 1, got {top_k!r}")
     check_budget("top_k", top_k)
     t_abs = max(abs(t_min), abs(t_max))
     check_budget("abs_t", t_abs)

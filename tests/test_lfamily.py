@@ -8,6 +8,7 @@ from olx.errors import DomainError, RangeError, ResourceError
 from olx.lfamily import (
     EULER_GAMMA,
     dirichlet_L1,
+    dirichlet_direct,
     is_fundamental_discriminant,
     local_coefficients,
     make_dedekind_quadratic,
@@ -143,6 +144,13 @@ class TestFundamentalDiscriminants:
     def test_rejected(self):
         for d in (0, 1, -1, 2, 3, 4, -4 * 3**2, 9, -9, 25, -12, 18):
             assert not is_fundamental_discriminant(d), d
+
+    def test_non_integers_rejected_as_dirichlet_direct_refuses_them(self):
+        for d in (5.0, -4.0, np.float64(-3.0), 5.5):
+            assert not is_fundamental_discriminant(d), d
+            with pytest.raises(DomainError):
+                dirichlet_direct(d, 1.0)
+        assert is_fundamental_discriminant(np.int64(5))
 
 
 class TestDedekind:

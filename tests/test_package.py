@@ -73,6 +73,8 @@ BAD_INPUT = {
     "zeta_eta-sigma-nan": (DomainError, lambda: olx.zeta_eta(complex(math.nan, 1.0))),
     "dirichlet_direct-nan": (ResourceError, lambda: olx.dirichlet_direct(-4, math.nan)),
     "dirichlet_direct-inf": (ResourceError, lambda: olx.dirichlet_direct(-4, math.inf)),
+    # a count of records, refused like the other counts rather than by np.partition
+    "grid_scan-top_k-2.5": (DomainError, lambda: olx.grid_scan(ZETA, 10, 11, 0.1, 100, 2.5)),
 }
 
 

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import pytest
 import olx.resonator as resonator
 from olx.errors import BUDGETS, DomainError, ResourceError
 from olx.evaluate import euler_product_on_line
-from olx.lfamily import EULER_GAMMA
+from olx.lfamily import EULER_GAMMA, local_coefficients, make_zeta_power
 from olx.mertens import truncated_product_at_1
+from olx.primes import primes_upto
 from olx.resonator import (
     _PAIR_REM,
     _box_sum,
@@ -254,14 +256,14 @@ class TestMemoryPeaks:
             tracemalloc.stop()
 
     def test_quadrature_sweeps_in_small_blocks(self, zeta):
-        # 3.6e5 nodes, one chunk of at most 2^19 filled in blocks of 2^15; a
-        # whole-chunk integrand took 60 MiB
-        assert self.traced_peak(moment_quadrature, zeta, 10.0, 5000.0, 0.04) < 32 * 2**20
+        # 3.6e5 nodes in 11 blocks of 2^15, each summed into the three levels
+        # as it is made: 4.25 MiB, one block's integrand and its temporaries
+        assert self.traced_peak(moment_quadrature, zeta, 10.0, 5000.0, 0.04) < 8 * 2**20
 
     def test_quadrature_chunks_share_one_buffer(self, zeta):
-        # 3.6e6 nodes in 7 chunks: 15.5 MiB through one buffer, 24.3 MiB
-        # with a fresh chunk array allocated beside the previous one
-        assert self.traced_peak(moment_quadrature, zeta, 10.0, 5000.0, 0.004) < 20 * 2**20
+        # 3.6e6 nodes in 110 blocks of 2^15: still 4.25 MiB, since no block
+        # outlives its sums
+        assert self.traced_peak(moment_quadrature, zeta, 10.0, 5000.0, 0.004) < 8 * 2**20
 
     def test_quadrature_sums_each_block_into_the_levels(self, zeta):
         # 3.6e6 nodes at X = 18: 4.3 MiB with each 2^15-node block summed
@@ -273,6 +275,46 @@ class TestMemoryPeaks:
         # 8,458,514 bytes with one-shot enumeration and both halves' unsorted
         # items held through the pair sum; about 7.2e6 without them
         assert self.traced_peak(moment_series, zeta, 14.0, 5000.0, 10**5) <= 8_458_514
+
+
+class TestWeightTable:
+    MODELS = ("zeta", "zeta3", "gauss", "root5", "rs_small")
+
+    @staticmethod
+    def defined_i1_table(model, p, q, fmax):
+        """w1(f) = sum over x - y = f (x, y >= 0) of b(p^x) q^y, with
+        b(p^x) = sum_(v<=x) c_v q^(x-v) and c_v = a(p^v) p^(-v): the
+        definition in `_weight_table`'s docstring, summed directly to a depth
+        where q^(2x - f) and p^(-x) are far below rounding."""
+        depth = 2 * fmax + 200
+        c = local_coefficients(model, p, depth) * (1.0 / p) ** np.arange(depth + 1)
+        b = np.array([np.dot(c[: x + 1], q ** np.arange(x, -1, -1)) for x in range(depth + 1)])
+        x = np.arange(depth + 1)
+        return np.array([np.sum(b[max(f, 0):] * q ** (x[max(f, 0):] - f))
+                         for f in range(-fmax, fmax + 1)])
+
+    @pytest.mark.parametrize("fixture", MODELS)
+    def test_i1_table_matches_its_definition(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        for X in (3.0, 10.0, 18.0, 30.0):
+            for p in (int(v) for v in primes_upto(X)):
+                q = float(q_of_prime(p, X))
+                table, _ = resonator._weight_table(model, p, q, 1e-10, "I1")
+                want = self.defined_i1_table(model, p, q, (len(table) - 1) // 2)
+                assert np.abs(table - want).max() <= 2e-15 * want.max(), (X, p)
+
+    @pytest.mark.parametrize("m", [1, 3, 8, 20, 40])
+    def test_i1_total_is_the_euler_factor_over_the_i2_total(self, m):
+        # total L_p(1) / (1 - q)^2 with L_p(1) = (p / (p - 1))^m for zeta^m, exact
+        # in rationals; the closed form sums m equal logs before its exp, so
+        # its rounding grows with m (2.8e-14 at m = 40, p = 2)
+        model = make_zeta_power(m)
+        for p in (2, 3):
+            for X in (3.0, 10.0, 30.0):
+                q = float(q_of_prime(p, X))
+                _, total = resonator._weight_table(model, p, q, 1e-10, "I1")
+                want = Fraction(p, p - 1) ** m / (1 - Fraction(q)) ** 2
+                assert abs(Fraction(total) / want - 1) <= m * 1e-15, (p, X)
 
 
 class TestOnePassPerMoment:
