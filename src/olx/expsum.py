@@ -82,19 +82,18 @@ point at t0 + j step, by (a) + (b) + (c):
       spread over many cells: their positions step w_k nf/(2 pi), reduced
       modulo nf, must span far more than the 35 cells of one term's taps.
       At the zeta scan t 10..1e6, step 0.05, Y = 1e5 (K = 32066,
-      sum |c_k| = 3.02) the busiest cell holds 56 taps on the 3 * 2^18
-      cells of a 2^19-point chunk and 198 on the 3 * 2^16 cells of the
-      last, 76,857-point one (r = 0.39, 1/edge = 24), so this term comes to
-      5.1e-10 and 2.3e-12, and grid_scan's eps to 2.4812e-8 (2.4e-7 with
-      M = 2K). At step 1e-4 the same terms span 501 cells of the 2^19-point
-      chunk's grid and M = 8,810; at step 1e-6 they span 5 and M = 2K =
-      64,132, so the term is 3.0e-8 and 2.2e-7, which (b) outgrows only
-      above t_abs = 1.2e6 and 8.9e6. So the 1.5x grid costs eps nothing
-      only while both hold: the terms spread over many cells, and t_abs is
-      large enough for (b) to dominate. Chunks of spaced_points(2^19) =
-      2^18 + 1 points (r = 1/3) on the same grid cut the term a
-      thousandfold, and scan.grid_scan takes them where they at least halve
-      its bound;
+      sum |c_k| = 3.02) every one of its 39 chunks spans 2^19 points, the
+      last overlapping the one before, and the busiest cell holds 56 taps
+      on their 3 * 2^18 cells, so this term comes to 5.1e-10 and
+      grid_scan's eps to 2.4812e-8 (2.4e-7 with M = 2K). At step 1e-4 the
+      same terms span 501 cells of that grid and M = 8,810; at step 1e-6
+      they span 5 and M = 2K = 64,132, so the term is 3.0e-8 and 2.2e-7,
+      which (b) outgrows only above t_abs = 1.2e6 and 8.9e6. So the 1.5x
+      grid costs eps nothing only while both hold: the terms spread over
+      many cells, and t_abs is large enough for (b) to dominate. Chunks of
+      spaced_points(2^19) = 2^18 + 1 points (r = 1/3) on the same grid cut
+      the term a thousandfold, and scan.grid_scan takes them where they at
+      least halve its bound;
   (b) argument rounding, 20 u t_abs sum |c_k| w_k: a phase error d moves a
       term by at most |c_k| d, and this path (centre, product with w_k,
       reduced step, spreading position) and a direct evaluation (t, t w_k,
@@ -175,21 +174,23 @@ def _positions(omegas: np.ndarray, step: float, nf: int) -> tuple[np.ndarray, np
     return np.where(upper, nf - x, x), upper  # exact (Sterbenz)
 
 
+def _fold(padded: np.ndarray) -> np.ndarray:
+    """Fold a padded half grid's padding back conjugated, cell -c onto c and
+    cell nf/2 + c onto nf/2 - c, in place; returns the view of cells 0..nf/2."""
+    h = padded[_HALF_WIDTH:-_HALF_WIDTH]
+    h[1 : _HALF_WIDTH + 1] += np.conj(padded[_HALF_WIDTH - 1 :: -1])
+    h[-_HALF_WIDTH - 1 : -1] += np.conj(padded[: -_HALF_WIDTH - 1 : -1])
+    return h
+
+
 def busiest_cell(omegas: np.ndarray, step: float, nf: int) -> int:
     """The most taps that add into one cell of h, folds included, when
     these terms spread on an nf-cell grid at this step."""
-    m0 = np.sort(np.floor(_positions(omegas, step, nf)[0]))
-    w, top = _HALF_WIDTH, nf // 2
-
-    def taps_on(cell: np.ndarray) -> np.ndarray:  # a term taps every cell within w of m0
-        return np.searchsorted(m0, cell + w, "right") - np.searchsorted(m0, cell - w, "left")
-
-    # cell c of h also gets cell -c (1 <= c <= w) and cell nf - c (top - w <= c < top);
-    # between those folds a window of cells holds the most terms ending w past one
-    c = np.concatenate([np.arange(w + 1), np.arange(top - w, top + 1), np.minimum(m0 + w, top)])
-    count = (taps_on(c) + ((c >= 1) & (c <= w)) * taps_on(-c)
-             + ((c >= top - w) & (c < top)) * taps_on(nf - c))
-    return int(count.max())
+    span = 2 * _HALF_WIDTH + 1  # a term on cell m0 taps padded cells m0 .. m0 + 2 _HALF_WIDTH
+    m0 = np.floor(_positions(omegas, step, nf)[0]).astype(np.int64)
+    counts = np.cumsum(np.bincount(m0, minlength=nf // 2 + span))  # terms with m0 <= i
+    counts[span:] = counts[span:] - counts[:-span]  # terms with i - span < m0 <= i
+    return int(_fold(counts).max())
 
 
 def exp_sum_on_grid(
@@ -227,10 +228,7 @@ def exp_sum_on_grid(
         np.divide(down, e1, out=down)
         np.add.at(padded, centre + d, b * np.multiply(up, _TAPS[d], out=kernel))
         np.add.at(padded, centre - d, b * np.multiply(down, _TAPS[d], out=kernel))
-    h = padded[_HALF_WIDTH : _HALF_WIDTH + nf // 2 + 1]
-    # cells -d and nf/2 + d are cells nf - d and nf/2 + d of g, conjugated at d and nf/2 - d
-    h[1 : _HALF_WIDTH + 1] += np.conj(padded[_HALF_WIDTH - 1 :: -1])
-    h[-_HALF_WIDTH - 1 : -1] += np.conj(padded[: -_HALF_WIDTH - 1 : -1])
+    h = _fold(padded)  # cells -d and nf/2 + d are cells nf - d and nf/2 + d of g
     h[0] = 2.0 * h[0].real
     h[-1] = 2.0 * h[-1].real
     np.fft.irfft(h, nf, norm="forward", out=spectrum)  # = hfft(conj h) = 2 Re fft(g)

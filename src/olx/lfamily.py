@@ -39,6 +39,13 @@ class LFunctionModel:
     the Rankin-Selberg model). residue_tail is the tail estimate that
     sym2_residue reports with the Rankin-Selberg residue (0.0 otherwise).
     gamma_f is derived from the pole order m and the residue c.
+
+    The root bound |alpha_j(p)| <= 1 holds where the models are built, so
+    no kernel checks it: chi_d(p) is in {-1, 0, 1}, and _rs_lambda_sq checks
+    tau(p)^2 <= 4 p^11 in exact integers; as 4 float(p^11) is exact and
+    rounding is monotone, float(tau^2)/float(p^11) <= 4, so pair_re =
+    lambda^2/2 - 1 lies in [-1, 1] exactly. With p >= 2 and weights q <= 1,
+    |1 - alpha q p^(-s)| >= 1/2 on Re s = 1: no log1p argument reaches -1.
     """
 
     label: str
@@ -99,17 +106,14 @@ def log_local_factor(
     model: LFunctionModel, primes: np.ndarray, q: float | np.ndarray = 1.0
 ) -> np.ndarray:
     """Per-prime log of prod_j (1 - alpha_j(p) q / p)^(-1) over an ascending
-    block of primes; q is a scalar or one weight per prime (q = 1 is the
-    local factor at s = 1, the resonator weights q_p give the resonance
-    product)."""
+    block of primes; q is a scalar or one weight per prime in [0, 1] (q = 1
+    is the local factor at s = 1, the resonator weights q_p give the
+    resonance product), so each factor stays finite (LFunctionModel)."""
     real, pair_re = model.root_blocks(primes)
     inv_p = 1.0 / primes.astype(np.float64)
     terms = np.zeros(len(primes))
     for j in range(real.shape[1]):
-        t = -np.log1p(-real[:, j] * q * inv_p)
-        if not np.all(np.isfinite(t)):
-            raise NumericError("degenerate local factor at s = 1")
-        terms += t
+        terms += -np.log1p(-real[:, j] * q * inv_p)
     for j in range(pair_re.shape[1]):
         # conjugate pair of unit-modulus roots: (1 - a q/p)(1 - conj(a) q/p)
         terms += -np.log1p((-2.0 * pair_re[:, j] * q + q * q * inv_p) * inv_p)
@@ -330,7 +334,7 @@ def power_sum(model: LFunctionModel, primes: np.ndarray, r: int | np.ndarray) ->
     for j in range(real.shape[1]):
         total += real[:, j] ** r
     for j in range(pair_re.shape[1]):
-        total += 2.0 * np.cos(r * np.arccos(np.clip(pair_re[:, j], -1.0, 1.0)))
+        total += 2.0 * np.cos(r * np.arccos(pair_re[:, j]))
     return total
 
 

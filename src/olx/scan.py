@@ -111,6 +111,8 @@ def grid_scan(
     merge).
     """
     t_min, t_max, step, Y = float(t_min), float(t_max), float(step), float(Y)
+    if not Y >= 2:  # NaN too
+        raise DomainError(f"truncation cutoff must be >= 2, got {Y}")
     if not (isinstance(top_k, Integral) and top_k >= 1):
         raise DomainError(f"top_k must be an integer >= 1, got {top_k!r}")
     check_budget("top_k", top_k)
@@ -127,21 +129,20 @@ def grid_scan(
     n_points = int(count)
     omega, coeff = log_expansion(model, Y)
 
-    # A chunk of 2^j + 1 points spreads on 3 * 2^j cells, oversampled about
-    # 3 times, where the deconvolution amplifies the grid's rounding 10
-    # times rather than up to 1.0e4 times (expsum docstring, term (a)). That
-    # rounding outgrows the phase term where the terms crowd into few cells
-    # (small step * w_k, small t). Such scans run in the largest such chunks
-    # up to _CHUNK points, at twice the transforms per point, when these at
-    # least halve the bound; the last one ends at the last grid point,
-    # overlapping the one before, so that it has that size too.
-    last = n_points - (n_points - 1) // _CHUNK * _CHUNK
-    bound = max(error_bound(coeff, omega, t_abs, m, step) for m in {min(_CHUNK, n_points), last})
-    chunk, overlap = _CHUNK, False
-    spaced = spaced_points(min(n_points, _CHUNK))
+    # Every chunk spans `chunk` points, the last one ending at the last grid
+    # point, so one bound covers them all. A chunk of 2^j + 1 points spreads
+    # on 3 * 2^j cells, oversampled about 3 times, where the deconvolution
+    # amplifies the grid's rounding 10 times rather than up to 1.0e4 times
+    # (expsum docstring, term (a)). That rounding outgrows the phase term
+    # where the terms crowd into few cells (small step * w_k, small t). Such
+    # scans run in the largest such chunks up to _CHUNK points, at twice the
+    # transforms per point, when these at least halve the bound.
+    chunk = min(_CHUNK, n_points)
+    bound = error_bound(coeff, omega, t_abs, chunk, step)
+    spaced = spaced_points(chunk)
     spaced_bound = error_bound(coeff, omega, t_abs, spaced, step)
     if bound > 2.0 * spaced_bound:
-        chunk, overlap, bound = spaced, True, spaced_bound
+        chunk, bound = spaced, spaced_bound
     n_chunks = (n_points + chunk - 1) // chunk
     # selection tolerance: grid value vs log standalone magnitude (expsum docstring)
     k = model.degree
@@ -152,9 +153,8 @@ def grid_scan(
 
     def chunk_survivors(ci: int) -> tuple[np.ndarray, np.ndarray]:
         lo = ci * chunk
-        start = min(lo, n_points - chunk) if overlap else lo
-        re_log = exp_sum_on_grid(coeff, omega, t_min + start * step, step,
-                                 min(chunk, n_points - start))[lo - start:]
+        start = min(lo, n_points - chunk)
+        re_log = exp_sum_on_grid(coeff, omega, t_min + start * step, step, chunk)[lo - start:]
         idx = _survivors(re_log, top_k, eps)
         return re_log[idx], lo + idx
 

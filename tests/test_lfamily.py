@@ -318,6 +318,18 @@ class TestModelInvariants:
                     want = 1
                 assert abs(coeffs[v] - want) < 1e-12
 
+    def test_root_bound_holds_as_the_kernels_assume(self):
+        # the kernels take |alpha_j(p)| <= 1 unchecked (LFunctionModel): the
+        # pair's real part lies in [-1, 1] with no rounding slack at all
+        primes = sieve_primes(20000)
+        _, pair_re = parse_model("rs-delta:20000").root_blocks(primes)
+        assert pair_re.shape == (len(primes), 1)
+        assert np.all((pair_re >= -1.0) & (pair_re <= 1.0))
+        for d in (-4, 5):
+            model = parse_model(f"dedekind:{d}")
+            assert set(model._chi.tolist()) <= {-1, 0, 1}
+            assert set(model.root_blocks(primes)[0][:, 1].tolist()) <= {-1.0, 0.0, 1.0}
+
 
 class TestLocalRootsOp:
     def test_zeta_large_prime(self, zeta):

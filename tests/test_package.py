@@ -75,11 +75,25 @@ BAD_INPUT = {
     "dirichlet_direct-inf": (ResourceError, lambda: olx.dirichlet_direct(-4, math.inf)),
     # a count of records, refused like the other counts rather than by np.partition
     "grid_scan-top_k-2.5": (DomainError, lambda: olx.grid_scan(ZETA, 10, 11, 0.1, 100, 2.5)),
+    # a NaN cutoff is refused as a cutoff below 2
+    "euler_product_on_line-Y-nan": (DomainError,
+                                    lambda: olx.euler_product_on_line(ZETA, 1.0, math.nan)),
+    "grid_scan-Y-nan": (DomainError, lambda: olx.grid_scan(ZETA, 10, 11, 0.1, math.nan, 1)),
+    # a cutoff below 2 is refused before any expansion or bound is built
+    "grid_scan-Y-1.5": (DomainError, lambda: olx.grid_scan(ZETA, 10, 11, 0.1, 1.5, 1)),
+}
+# the exact message where the kind alone does not tell the refusals apart
+BAD_INPUT_MESSAGE = {
+    "euler_product_on_line-Y-nan": "truncation cutoff must be >= 2, got nan",
+    "grid_scan-Y-nan": "truncation cutoff must be >= 2, got nan",
+    "grid_scan-Y-1.5": "truncation cutoff must be >= 2, got 1.5",
 }
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("kind, call", BAD_INPUT.values(), ids=list(BAD_INPUT))
-def test_bad_library_input_raises_an_olx_error(kind, call):
-    with pytest.raises(kind):
+@pytest.mark.parametrize("name", list(BAD_INPUT))
+def test_bad_library_input_raises_an_olx_error(name):
+    kind, call = BAD_INPUT[name]
+    with pytest.raises(kind) as info:
         call()
+    assert str(info.value) == BAD_INPUT_MESSAGE.get(name, str(info.value))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import olx.resonator as resonator
-from olx.errors import BUDGETS, DomainError, ResourceError
+from olx.errors import BUDGETS, DomainError, NumericError, ResourceError
 from olx.evaluate import euler_product_on_line
 from olx.lfamily import EULER_GAMMA, local_coefficients, make_zeta_power
 from olx.mertens import truncated_product_at_1
@@ -462,6 +462,13 @@ class TestMoments:
     def test_quadrature_x_cap(self, zeta):
         with pytest.raises(DomainError):
             moment_quadrature(zeta, 60.0, 5000.0, 0.04)
+
+    def test_quadrature_refuses_when_halving_stops_helping(self):
+        # zeta^40 at X = 6 is rounding-limited: at step 0.01 the finest
+        # halving difference (3.2e11) exceeds the one before it (1.7e9);
+        # steps 0.008 and 0.012 happen to pass, so only this step is pinned
+        with pytest.raises(NumericError, match="^quadrature not converging under step halving"):
+            moment_quadrature(make_zeta_power(40), 6.0, 100.0, 0.01)
 
     @pytest.mark.parametrize("fixture, X", [
         ("zeta", 10.0), ("zeta2", 12.0), ("root5", 14.0), ("rs_small", 10.0)])

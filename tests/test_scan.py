@@ -211,9 +211,9 @@ class TestExpSum:
         assert abs(_scan_eps(monkeypatch, zeta, 10.0, 1e6, 0.05) / 2.4977e-8 - 1.0) <= 0.05
 
     def test_short_last_chunk_keeps_the_eps(self, zeta, monkeypatch):
-        # a last chunk of 3 points spreads on 96 cells, where every tap of
-        # the 32,066 terms shares a few cells, but at 3 outputs the
-        # deconvolution barely amplifies their rounding
+        # 3 points past two whole chunks: the third chunk still spans 2^19
+        # points, ending at the last grid point and overlapping the second,
+        # so eps moves only with t_abs
         whole = _scan_eps(monkeypatch, zeta, 1e6, 1e6 + (2 * 2**19 - 1) * 0.05, 0.05)
         longer = _scan_eps(monkeypatch, zeta, 1e6, 1e6 + (2 * 2**19 + 2) * 0.05, 0.05)
         assert abs(longer / whole - 1.0) <= 1e-3
@@ -364,9 +364,11 @@ class TestGridScan:
         ("gauss", (-6.0, 6.0, 0.25, 300.0)),
     ], ids=["asymmetric", "symmetric"])
     def test_chunk_boundaries_keep_the_records(self, model, window, request, monkeypatch):
-        # chunks of 64 points, and of 8, which leave a last chunk of one
-        # point (201 = 25 * 8 + 1, 49 = 6 * 8 + 1): the records equal the
-        # unchunked run and the standalone product at every grid point
+        # chunks of 64 points, and of 8, which leave one point past the last
+        # whole chunk (201 = 25 * 8 + 1, 49 = 6 * 8 + 1): every chunk of a
+        # scan has one length, the last ending at the last grid point, and
+        # the records equal the unchunked run and the standalone product at
+        # every grid point
         model = request.getfixturevalue(model)
         t_min, t_max, step, Y = window
         n = int(math.floor((t_max - t_min) / step + 1.0 + 1e-9))
@@ -376,11 +378,11 @@ class TestGridScan:
         whole = {k: grid_scan(model, *window, k) for k in ks}
         for k in ks:
             assert [(-r.magnitude, r.t) for r in whole[k]] == oracle[:k]
-        sizes = []
+        scans = []
 
-        def recording(coeffs, omegas, t0, step, n):
-            sizes.append(n)
-            return exp_sum_on_grid(coeffs, omegas, t0, step, n)
+        def recording(coeffs, omegas, t0, step, m):
+            scans[-1].append((round((t0 - t_min) / step), m))  # (first grid index, length)
+            return exp_sum_on_grid(coeffs, omegas, t0, step, m)
 
         monkeypatch.setattr(scan_mod, "exp_sum_on_grid", recording)
         for chunk in (64, 8):
@@ -388,8 +390,11 @@ class TestGridScan:
             for threads in ("1", "2"):
                 monkeypatch.setenv("OLX_THREADS", threads)
                 for k in ks:
+                    scans.append([])
                     assert grid_scan(model, *window, k) == whole[k]
-        assert 1 in sizes
+        for calls in scans:
+            assert len({m for _, m in calls}) == 1
+            assert max(start + m for start, m in calls) == n
 
     def test_deterministic(self, gauss):
         a = grid_scan(gauss, 50.0, 60.0, 0.01, 1000.0, 5)
