@@ -20,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -33,12 +32,11 @@ from .resonator import (
     X_MOMENTS_MAX,
     moment_quadrature,
     moment_series,
-    quadrature_intervals,
     resonance_product,
     resonance_products_at_cutoff,
 )
 from .scan import bound_report, grid_scan, refine_peak
-from .summation import env_threads, worker_cap
+from .summation import env_threads
 
 
 class _UsageError(Exception):
@@ -99,22 +97,9 @@ def _resonance(model: LFunctionModel, args: argparse.Namespace):
 
 
 def _moments(model: LFunctionModel, args: argparse.Namespace):
-    quad_args = (model, args.X, args.T, args.step)
-    # the quadrature's node budget refuses a run before the series is spent
-    quadrature_intervals(*quad_args)
-    if worker_cap() > 1:
-        # the two paths share no data, so the quadrature runs on a worker
-        # while this thread sums the series; reading its result in `finally`
-        # reports its error over the series' one, as the serial order does
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pending = pool.submit(moment_quadrature, *quad_args)
-            try:
-                ser = moment_series(model, args.X, args.T, args.n_cutoff)
-            finally:
-                quad = pending.result()
-    else:
-        quad = moment_quadrature(*quad_args)
-        ser = moment_series(model, args.X, args.T, args.n_cutoff)
+    # the quadrature first: its node budget refuses a run before the series is spent
+    quad = moment_quadrature(model, args.X, args.T, args.step)
+    ser = moment_series(model, args.X, args.T, args.n_cutoff)
     res, _, _ = resonance_products_at_cutoff(model, args.X)
     params = {"T": args.T, "X": args.X, "n_cutoff": args.n_cutoff, "step": args.step}
     data = {

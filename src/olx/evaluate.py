@@ -200,8 +200,8 @@ def log_expansion(model: LFunctionModel, Y: float) -> tuple[np.ndarray, np.ndarr
     for zeta at Y = 1e8, 1.2e-13 for zeta^1000 at Y = 1e7).
     Coefficients are real for the shipped models.
     """
-    if Y < 2:
-        return np.empty(0), np.empty(0)
+    if not Y >= 2:  # NaN too
+        raise DomainError(f"truncation cutoff must be >= 2, got {Y}")
     model.check_cutoff(Y)
     primes = primes_upto(Y)
     pf = primes.astype(np.float64)
@@ -220,9 +220,7 @@ def log_expansion(model: LFunctionModel, Y: float) -> tuple[np.ndarray, np.ndarr
         omegas.append(r * logp[mask][keep])
         coeffs.append(c[keep])
         r += 1
-    omega = np.concatenate(omegas) if omegas else np.empty(0)
-    coeff = np.concatenate(coeffs) if coeffs else np.empty(0)
-    return omega, coeff
+    return np.concatenate(omegas), np.concatenate(coeffs)
 
 
 _MIX64_MASK = (1 << 64) - 1

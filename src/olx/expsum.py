@@ -201,8 +201,6 @@ def exp_sum_on_grid(
     n: int,
 ) -> np.ndarray:
     """values[j] = Re sum_k coeffs[k] * exp(-i (t0 + j step) omegas[k])."""
-    if len(omegas) == 0:
-        return np.zeros(n)
     nf = grid_cells(n)
     half = n // 2
     # centring the targets keeps the deconvolution band well conditioned

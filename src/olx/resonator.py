@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -62,8 +63,10 @@ class ResonanceReport:
 @dataclass(frozen=True)
 class MomentSeries:
     """Series-path moment values; truncation_bound bounds the distance of
-    I1 and of I2 from the untruncated series (lag cut, Cramer remainder
-    and the weight the enumeration floor dropped; see moment_series)."""
+    I1 and of I2 from the untruncated series (lag cut, the Cramer
+    remainder of the Taylor order `_box_sum` picks, at most 1% of the
+    other terms below 30 orders, and the weight the enumeration floor
+    dropped; see moment_series)."""
 
     I1: float
     I2: float
@@ -130,6 +133,8 @@ def resonance_products_at_cutoff(
     model: LFunctionModel, X: float
 ) -> tuple[float, float, float]:
     """(resonance_product, mertens_factor, defect) over primes p <= X."""
+    if math.isnan(X):
+        raise DomainError(f"resonance cutoff X must be a number, got {X}")
     model.check_cutoff(X)
     if X < 2:
         return 1.0, 1.0, 1.0
@@ -259,23 +264,27 @@ def _enumerate_half(
 
 
 _BOX_R = 1.0  # r: box width in s = x/(2 eps), the pair sum's coordinate
-_ORDERS = 30  # K: Taylor orders k + l < K of the box expansion
+_ORDERS = 30  # the most Taylor orders k + l < K of the box expansion
 _Z_CUT = 6.6  # lag cut: pairs farther apart in s are dropped
 _LAGS = int(_Z_CUT / _BOX_R) + 1  # box lags |L| <= 7 hold every pair closer than _Z_CUT
 _BOX_BLOCK = 2048  # boxes per block of the lag sum
 _GEMM_BOXES = 256  # boxes per matrix product
-_CRAMER = (  # the orders n >= K of one pair; see _box_sum
-    1.0865 * (_BOX_R * math.sqrt(2.0)) ** _ORDERS / math.sqrt(math.factorial(_ORDERS))
-    / (1.0 - _BOX_R * math.sqrt(2.0 / (_ORDERS + 1))))
-_PAIR_REM = math.exp(-_Z_CUT**2) + _CRAMER  # box sum error per unit pair weight
+_PAIR_REM = math.exp(-_Z_CUT**2)  # the lag cut's error per unit pair weight
+_CRAMER = {  # CRAMER(K): the orders n >= K of one pair per unit of e^(-Z^2/2); see _box_sum
+    K: 1.0865 * (_BOX_R * math.sqrt(2.0)) ** K / math.sqrt(math.factorial(K))
+    / (1.0 - _BOX_R * math.sqrt(2.0 / (K + 1))) for K in range(2, _ORDERS + 1)}
+_CRAMER_SHARE = 0.01  # K: the least order whose Cramer term is at most this share of the rest
 
 
 def _box_sum(
-    s_a: np.ndarray, w_a: np.ndarray, s_b: np.ndarray, w_b: np.ndarray
-) -> tuple[float, float, float]:
-    """(S, sup_a, sup_b): S = sum over all pairs of w_a w_b exp(-(s_a - s_b)^2)
-    to within _PAIR_REM * sum(w_a) * sum(w_b), and upper bounds of
+    s_a: np.ndarray, w_a: np.ndarray, s_b: np.ndarray, w_b: np.ndarray,
+    dropped: Callable[[float, float], float],
+) -> tuple[float, float, float, float]:
+    """(S, remainder, sup_a, sup_b): S = sum over all pairs of
+    w_a w_b exp(-(s_a - s_b)^2) to within remainder, and upper bounds of
     sup_y G_A(y) and sup_y G_B(y), G_A(y) = sum_a w_a exp(-(s_a - y)^2).
+    dropped(sup_a, sup_b) is the rest of the caller's allowance, in the
+    units of w_a w_b; it sets the Taylor order K.
 
     Each side comes sorted by s, with weights w >= 0. This is a 1-D fast
     Gauss transform by box moments (Greengard & Strain, SIAM J. Sci. Stat.
@@ -287,21 +296,37 @@ def _box_sum(
     (-1)^(k+l) from the derivative times (-1)^l from (-u_b)^l. So
     S = sum_L sum_(k+l<K) (-1)^k h_(k+l)(L r) C_L[k, l] with
     C_L[k, l] = sum_i M^A_k[i] M^B_l[i - L], M_k[i] = sum w u^k/k! over
-    box i, and H_(n+1) = 2z H_n - 2n H_(n-1).
+    box i, and H_(n+1) = 2z H_n - 2n H_(n-1). r = 1 needs 15 lags to
+    reach the cut (29 at r = 1/2) and half the boxes.
 
-    r = 1 needs 15 lags to reach the cut (29 at r = 1/2) and half the
-    boxes. K = 30: as |u_a - u_b| <= r, Cramer's inequality |H_n(z)|
-    e^(-z^2/2) <= 1.0865 2^(n/2) sqrt(n!) (A&S 22.14.17) bounds the orders
-    n >= K by 1.0865 (r sqrt 2)^K / sqrt(K!) / (1 - r sqrt(2/(K+1))) =
-    2.9e-12 per unit pair weight. The cut 6.6: the pairs of the lags
-    |L| > 7 lie more than 7 r apart and add at most e^(-6.6^2) = 1.2e-19
-    per unit pair weight, far below the Cramer term. _PAIR_REM is the sum.
+    The remainder has two terms. The Cramer term: Cramer's inequality
+    |H_n(z)| e^(-z^2/2) <= 1.0865 2^(n/2) sqrt(n!) (A&S 22.14.17) gives
+    |h_n(Z)| = |H_n(Z)| e^(-Z^2/2) e^(-Z^2/2) <= 1.0865 2^(n/2) sqrt(n!)
+    e^(-Z^2/2), so as |u_a - u_b| <= r the orders n >= K of a pair at lag
+    L add at most e^(-(L r)^2/2) 1.0865 (r sqrt 2)^K / sqrt(K!) /
+    (1 - r sqrt(2/(K+1))) = e^(-(L r)^2/2) CRAMER(K) (2.9e-12 at K = 30,
+    2.8e-8 at K = 23) per unit pair weight, the ratio of successive
+    orders being at most r sqrt(2/(K+1)). Summed, CRAMER(K) times the
+    lag-weighted mass sum_L e^(-(L r)^2/2) C_L[0, 0]. The lag cut: the
+    pairs of the lags |L| > 7 lie more than 7 r apart and add at most
+    e^(-6.6^2) = 1.2e-19 per unit pair weight, _PAIR_REM times
+    sum(w_a) sum(w_b).
+
+    K is the least order in 2..30 whose Cramer term is at most
+    _CRAMER_SHARE = 1% of the lag-cut term plus dropped(sup_a, sup_b), or
+    30 if none is; so the remainder plus dropped is at most 1.01 times
+    what 30 orders would state, and for zeta at X = 18, T = 5000,
+    n_cutoff 1e5 K is 23. An order-0 pass picks it before any order-K
+    moment is built: it takes each box's mass M_0 from one reduction
+    over each side's box starts and walks the blocks below, yielding the
+    lag-weighted mass and the sup bounds.
 
     Work and memory follow the items, not the span: the occupied boxes of
     both sides are numbered in order, each gap longer than 8 boxes shrunk
     to 8, so every pair within reach keeps its lag and no other comes into
     reach. Each block of 2,048 boxes of that numbering builds both sides'
-    moments there and 7 boxes beyond (np.bincount per order) and multiplies
+    moments there and 7 boxes beyond (np.add.reduceat over the box starts
+    per order, divided by k! once per box) and multiplies
     them 256 boxes at a time, which measured the same bits and time at
     OPENBLAS_NUM_THREADS = 1 and 2 on a 2-core Xeon VM (a product over
     8,192 boxes ran up to 15 times slower at 2).
@@ -317,48 +342,67 @@ def _box_sum(
         key += 0.5
         np.floor(key, out=key)  # box i holds (i - 1/2) r <= s < (i + 1/2) r
         start = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1, [len(s)]))
-        sides.append([s, w, start, key[start[:-1]]])
+        sides.append([s, w, start, key[start[:-1]], np.add.reduceat(w, start[:-1])])
         del key
     occ = np.union1d(sides[0][3], sides[1][3])
     pos = _LAGS + np.concatenate(
         ([0], np.cumsum(np.minimum(np.diff(occ), _LAGS + 1)))).astype(np.int64)
     for side in sides:
         side.append(pos[np.searchsorted(occ, side[3])])
+    blocks = range(-_LAGS, int(pos[-1]) + 1, _BOX_BLOCK)
     lags = np.arange(-_LAGS, _LAGS + 1)
     reach = np.exp(-((np.maximum(np.abs(lags) - 1, 0) * _BOX_R) ** 2))
-    ma, mb = moments = np.empty((2, _BOX_BLOCK + 2 * _LAGS, _ORDERS))
-    cross = np.zeros((len(lags), _ORDERS, _ORDERS))  # C_L
-    sup = np.zeros(2)
-    for lo in range(-_LAGS, int(pos[-1]) + 1, _BOX_BLOCK):
-        for (s, w, start, key, comp), m in zip(sides, moments):
+    near = np.exp(-((lags * _BOX_R) ** 2) / 2.0)  # each lag's Cramer factor
+    # the order-0 pass: the sup bounds and the lag-weighted mass
+    m0 = np.empty((2, _BOX_BLOCK + 2 * _LAGS))
+    sup, lag_mass = np.zeros(2), 0.0
+    for lo in blocks:
+        for (*_, mass, comp), m in zip(sides, m0):
+            r0, r1 = np.searchsorted(comp, (lo, lo + len(m)))
+            m.fill(0.0)
+            m[comp[r0:r1] - lo] = mass[r0:r1]
+        g = np.zeros((3, _BOX_BLOCK))  # G_A and G_B bounds, then B's masses weighted by lag
+        for i, L in enumerate(lags):
+            shifted = m0[:, _LAGS - L : _LAGS - L + _BOX_BLOCK]
+            g[:2] += reach[i] * shifted
+            g[2] += near[i] * shifted[1]
+        sup = np.maximum(sup, g[:2].max(axis=1))
+        lag_mass += float(np.sum(m0[0, _LAGS : _LAGS + _BOX_BLOCK] * g[2]))
+    mass_a, mass_b = float(np.sum(w_a)), float(np.sum(w_b))
+    sup_a = float(sup[0]) + _PAIR_REM * mass_a  # the items beyond the lags
+    sup_b = float(sup[1]) + _PAIR_REM * mass_b
+    cut = _PAIR_REM * mass_a * mass_b
+    allowed = _CRAMER_SHARE * (cut + dropped(sup_a, sup_b))
+    K = next((k for k in range(2, _ORDERS) if _CRAMER[k] * lag_mass <= allowed), _ORDERS)
+    ma, mb = moments = np.empty((2, _BOX_BLOCK + 2 * _LAGS, K))
+    cross = np.zeros((len(lags), K, K))  # C_L
+    factorial = np.cumprod(np.maximum(np.arange(K), 1.0))
+    for lo in blocks:
+        for (s, w, start, key, _, comp), m in zip(sides, moments):
             # m[j - lo, k] = sum w u^k/k! over the boxes j in [lo, lo + len(m))
             r0, r1 = np.searchsorted(comp, (lo, lo + len(m)))
             lengths = np.diff(start[r0 : r1 + 1])
-            idx = np.repeat(comp[r0:r1] - lo, lengths)
             u = s[start[r0] : start[r1]] - np.repeat(key[r0:r1] * _BOX_R, lengths)
             p = w[start[r0] : start[r1]].copy()
-            for k in range(_ORDERS):
-                m[:, k] = np.bincount(idx, p, minlength=len(m))
+            sums = np.empty((K, r1 - r0))
+            for k in range(K):
+                np.add.reduceat(p, start[r0:r1] - start[r0], out=sums[k])
                 p *= u
-                p /= k + 1
-        ma_t = ma[_LAGS : _LAGS + _BOX_BLOCK].reshape(-1, _GEMM_BOXES, _ORDERS).transpose(0, 2, 1)
-        g = np.zeros((2, _BOX_BLOCK))
+            m.fill(0.0)
+            m[comp[r0:r1] - lo] = sums.T / factorial
+        ma_t = ma[_LAGS : _LAGS + _BOX_BLOCK].reshape(-1, _GEMM_BOXES, K).transpose(0, 2, 1)
         for i, L in enumerate(lags):
             shifted = slice(_LAGS - L, _LAGS - L + _BOX_BLOCK)
-            cross[i] += (ma_t @ mb[shifted].reshape(-1, _GEMM_BOXES, _ORDERS)).sum(axis=0)
-            g += reach[i] * moments[:, shifted, 0]
-        sup = np.maximum(sup, g.max(axis=1))
+            cross[i] += (ma_t @ mb[shifted].reshape(-1, _GEMM_BOXES, K)).sum(axis=0)
     z = lags * _BOX_R
-    h = np.zeros((_ORDERS, len(z)))
+    h = np.zeros((K, len(z)))
     h[0] = np.exp(-z * z)
-    for n in range(_ORDERS - 1):  # at n = 0, h[n - 1] is the last row, still 0
+    for n in range(K - 1):  # at n = 0, h[n - 1] is the last row, still 0
         h[n + 1] = 2.0 * z * h[n] - 2.0 * n * h[n - 1]
-    k = np.arange(_ORDERS)
+    k = np.arange(K)
     n = k[:, None] + k[None, :]  # weights[L, k, l] = (-1)^k h_(k+l)(L r) for k + l < K
-    weights = np.where(n < _ORDERS, (-1.0) ** k[:, None] * h.T[:, np.minimum(n, _ORDERS - 1)], 0.0)
-    tail = math.exp(-_Z_CUT**2)
-    return (float(np.sum(weights * cross)), float(sup[0]) + tail * float(np.sum(w_a)),
-            float(sup[1]) + tail * float(np.sum(w_b)))
+    weights = np.where(n < K, (-1.0) ** k[:, None] * h.T[:, np.minimum(n, K - 1)], 0.0)
+    return (float(np.sum(weights * cross)), cut + _CRAMER[K] * lag_mass, sup_a, sup_b)
 
 
 def _series_sum(
@@ -374,11 +418,11 @@ def _series_sum(
     before the next; `_box_sum` then adds every pair. The weights are
     non-negative, and the allowance bounds the distance from S to the sum
     over all of Z^pi, up to rounding, by three stated terms: the lag cut
-    and the Cramer remainder, _PAIR_REM times mass_A mass_B (the
-    enumerated masses), and the weight the floor dropped. With
-    d_A = total_A - mass_A, total_A the product of its primes' closed-form
-    `_weight_table` totals, the dropped pairs add at most
-    d_A (sup G_B + d_B) + d_B sup G_A, sup G bounded by `_box_sum`.
+    and the Cramer remainder (`_box_sum`'s remainder), and the weight the
+    floor dropped. With d_A = total_A - mass_A, total_A the product of its
+    primes' closed-form `_weight_table` totals and mass_A the enumerated
+    mass, the dropped pairs add at most d_A (sup G_B + d_B) + d_B sup G_A,
+    sup G bounded by `_box_sum`, which sets its Taylor order by this term.
     """
     halves: tuple[list, list] = ([], [])
     sizes, totals = [0.0, 0.0], [1.0, 1.0]
@@ -390,8 +434,8 @@ def _series_sum(
         halves[k].append((logp, table))
         sizes[k] += math.log(len(table))
         totals[k] *= table_total
-    sides, masses, scales = [], [], []
-    for sign, half in zip((1.0, -1.0), halves):
+    sides, dropped_weight, scale = [], [], 1.0
+    for sign, half, total in zip((1.0, -1.0), halves, totals):
         x, w, half_scale = _enumerate_half(half, delta)
         x *= sign / (2.0 * eps)
         order = np.argsort(x)
@@ -399,12 +443,15 @@ def _series_sum(
         w = w[order]
         del order
         sides += [x, w]
-        masses.append(float(np.sum(w)) * half_scale)
-        scales.append(half_scale)
-    s, sup_a, sup_b = _box_sum(*sides)
-    d_a, d_b = (max(0.0, t - m) for t, m in zip(totals, masses))
-    dropped = d_a * (sup_b * scales[1] + d_b) + d_b * sup_a * scales[0]
-    return s * scales[0] * scales[1], _PAIR_REM * masses[0] * masses[1] + dropped
+        dropped_weight.append(max(0.0, total / half_scale - float(np.sum(w))))
+        scale *= half_scale
+    d_a, d_b = dropped_weight
+
+    def dropped(sup_a: float, sup_b: float) -> float:
+        return d_a * (sup_b + d_b) + d_b * sup_a
+
+    s, remainder, sup_a, sup_b = _box_sum(*sides, dropped)
+    return s * scale, (remainder + dropped(sup_a, sup_b)) * scale
 
 
 def moment_series(
@@ -421,21 +468,24 @@ def moment_series(
     Each moment is one `_series_sum` call, one enumeration and one
     box-moment pair sum. truncation_bound, sqrt(pi)/eps times the sum of
     both moments' allowances, is rigorous up to rounding: its three terms
-    are the lag cut, the Cramer remainder of the Taylor orders >= 30, and
-    the weight the floor dropped. Both moments' weight totals are closed
-    forms (`_weight_table`), so the last term holds for every zeta power.
-    It grows, and never silently, when
-    n_cutoff is too small for the requested accuracy. X <= 50 is the
+    are the lag cut, the Cramer remainder of the Taylor orders >= K, and
+    the weight the floor dropped. Each pair sum picks its K as the least
+    order in 2..30 whose Cramer term is at most 1% of the other two, so
+    the bound is at most 1.01 times what 30 orders would give. Both
+    moments' weight totals are closed forms (`_weight_table`), so the
+    last term holds for every zeta power. It grows, and never silently,
+    when n_cutoff is too small for the requested accuracy. X <= 50 is the
     supported range, but the 12M-item enumeration budget binds first.
     Measured for zeta at T = 5000 on a 2-core Xeon VM (numpy 2.4), one
     process per run, with its peak RSS and truncation_bound/I2: n_cutoff
-    1e5 takes 0.8 s and 71 MB at X = 18 (2.5e-5), 2.4 s and 164 MB at
-    X = 20 (3.9e-5) and 4.7 s and 285 MB at X = 22 (3.4e-5), and exceeds
-    the budget at X = 25; n_cutoff 1e4 takes 11 s and 590 MB at X = 25
-    (3.1e-3) and exceeds it at X = 30, where n_cutoff 1e3 takes 11 s and
-    0.66 GB for 0.24. So the practical limit is about X = 25.
+    1e5 takes 0.56-0.60 s and 70 MB at X = 18 (2.5e-5), 1.35-1.40 s and
+    171 MB at X = 20 (3.9e-5) and 2.1-2.8 s and 297 MB at X = 22
+    (3.4e-5), K being 23 at all three, and exceeds the budget at X = 25;
+    with 30 orders throughout, n_cutoff 1e4 took 11 s and 590 MB at
+    X = 25 (3.1e-3) and exceeded it at X = 30, where n_cutoff 1e3 took
+    11 s and 0.66 GB for 0.24. So the practical limit is about X = 25.
     """
-    if X > X_MOMENTS_MAX:
+    if not X <= X_MOMENTS_MAX:  # NaN too
         raise DomainError(f"moment integrals support X <= {X_MOMENTS_MAX}, got {X}")
     if not n_cutoff >= 1:
         raise DomainError("n_cutoff must be >= 1")
@@ -518,7 +568,7 @@ def quadrature_intervals(
     budget "quad_nodes". Cheap, so a caller can refuse a run before other work."""
     if not 0 < step < math.inf:
         raise DomainError("quadrature step must be positive")
-    if X > X_MOMENTS_MAX:
+    if not X <= X_MOMENTS_MAX:  # NaN too
         raise DomainError(f"moment integrals support X <= {X_MOMENTS_MAX}, got {X}")
     model.check_cutoff(X)
     half = _GAUSS_CUT / resonator_config(T).eps / step

@@ -148,19 +148,22 @@ def test_moments_body_independent_of_threads(model, capsys, monkeypatch):
     assert bodies[0] == bodies[1]
 
 
-@pytest.mark.parametrize("threads, worker", [("1", False), ("2", True)])
-def test_moments_quadrature_beside_the_series(threads, worker, capsys, monkeypatch):
-    ran_on = []
+@pytest.mark.parametrize("threads", ["1", "2"], ids=["1-thread", "2-threads"])
+def test_moments_paths_run_in_order_on_the_calling_thread(threads, capsys, monkeypatch):
+    # the quadrature, then the series, both on this thread at any thread count
+    ran = []
 
-    def recording(*args):
-        ran_on.append(threading.current_thread() is not threading.main_thread())
-        return moment_quadrature(*args)
+    def recording(name, fn):
+        def wrapped(*args):
+            ran.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args)
+        return wrapped
 
-    moment_quadrature = olx.cli.moment_quadrature
     monkeypatch.setenv("OLX_THREADS", threads)
-    monkeypatch.setattr("olx.cli.moment_quadrature", recording)
+    for name in ("moment_quadrature", "moment_series"):
+        monkeypatch.setattr(f"olx.cli.{name}", recording(name, getattr(olx.cli, name)))
     code, _, _ = run_capture(["moments", "--X", "5", "--n-cutoff", "100"], capsys)
-    assert (code, ran_on) == (0, [worker])
+    assert (code, ran) == (0, [("moment_quadrature", True), ("moment_series", True)])
 
 
 @pytest.mark.parametrize("threads", ["1", "2"], ids=["1-thread", "2-threads"])

@@ -81,12 +81,26 @@ BAD_INPUT = {
     "grid_scan-Y-nan": (DomainError, lambda: olx.grid_scan(ZETA, 10, 11, 0.1, math.nan, 1)),
     # a cutoff below 2 is refused before any expansion or bound is built
     "grid_scan-Y-1.5": (DomainError, lambda: olx.grid_scan(ZETA, 10, 11, 0.1, 1.5, 1)),
+    # and the expansion refuses one itself, rather than returning no terms
+    "log_expansion-Y-1.5": (DomainError, lambda: log_expansion(ZETA, 1.5)),
+    "log_expansion-Y-nan": (DomainError, lambda: log_expansion(ZETA, math.nan)),
+    # a NaN weight cutoff is refused as one, not as a coefficient cutoff
+    "moment_series-X-nan": (DomainError, lambda: olx.moment_series(ZETA, math.nan, 5000, 1e5)),
+    "moment_quadrature-X-nan": (DomainError,
+                                lambda: olx.moment_quadrature(ZETA, math.nan, 5000, 0.04)),
+    "resonance_products_at_cutoff-X-nan": (
+        DomainError, lambda: olx.resonance_products_at_cutoff(ZETA, math.nan)),
 }
 # the exact message where the kind alone does not tell the refusals apart
 BAD_INPUT_MESSAGE = {
     "euler_product_on_line-Y-nan": "truncation cutoff must be >= 2, got nan",
     "grid_scan-Y-nan": "truncation cutoff must be >= 2, got nan",
     "grid_scan-Y-1.5": "truncation cutoff must be >= 2, got 1.5",
+    "log_expansion-Y-1.5": "truncation cutoff must be >= 2, got 1.5",
+    "log_expansion-Y-nan": "truncation cutoff must be >= 2, got nan",
+    "moment_series-X-nan": "moment integrals support X <= 50.0, got nan",
+    "moment_quadrature-X-nan": "moment integrals support X <= 50.0, got nan",
+    "resonance_products_at_cutoff-X-nan": "resonance cutoff X must be a number, got nan",
 }
 
 

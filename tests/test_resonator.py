@@ -13,6 +13,8 @@ from olx.lfamily import EULER_GAMMA, local_coefficients, make_zeta_power
 from olx.mertens import truncated_product_at_1
 from olx.primes import primes_upto
 from olx.resonator import (
+    _CRAMER,
+    _ORDERS,
     _PAIR_REM,
     _box_sum,
     _enumerate_half,
@@ -170,19 +172,57 @@ class TestBoxSum:
         sA, wA, sB, wB = sA[a], wA[a], sB[b], wB[b]
         diff = sA[:, None] - sB[None, :]
         direct = float(wA @ np.exp(-diff**2) @ wB)
-        remainder = _PAIR_REM * float(np.sum(wA)) * float(np.sum(wB))
+        remainder = (_PAIR_REM + _CRAMER[_ORDERS]) * float(np.sum(wA)) * float(np.sum(wB))
         assert remainder < 1e-10 * direct
 
-        S, sup_a, sup_b = _box_sum(sA, wA, sB, wB)
+        # with nothing dropped no order below 30 keeps the Cramer term under
+        # 1% of the lag cut, so the rule picks K = 30
+        S, _, sup_a, sup_b = _box_sum(sA, wA, sB, wB, no_drop)
         assert abs(S - direct) <= remainder
-        swapped = _box_sum(sB, wB, sA, wA)
+        swapped = _box_sum(sB, wB, sA, wA, no_drop)
         assert abs(swapped[0] - direct) <= remainder
-        assert swapped[1:] == (sup_b, sup_a)
+        assert swapped[2:] == (sup_b, sup_a)
         # the sup bounds hold on a grid finer than the boxes, out past both ends
         y = np.linspace(-30.0, 60.0, 90_001)
         for s, w, bound in ((sA, wA, sup_a), (sB, wB, sup_b)):
             g = np.array([float(w @ np.exp(-(s - yk) ** 2)) for yk in y[::7]])
             assert g.max() <= bound < 4.0 * g.max()
+
+    @pytest.mark.parametrize("fixture", ["zeta", "rs_small"])
+    @pytest.mark.parametrize("n_cutoff", [10**2, 10**4])
+    def test_rule_order_matches_brute_force(self, fixture, n_cutoff, request, monkeypatch):
+        # both moments' pair sums at X = 10, at the order the rule picks (15
+        # at n_cutoff 1e2, 23 at 1e4), within the remainder they state
+        seen = []
+
+        def recording(*args):
+            seen.append((args[:4], _box_sum(*args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(resonator, "_box_sum", recording)
+        moment_series(request.getfixturevalue(fixture), 10.0, 5000.0, n_cutoff)
+        assert len(seen) == 2
+        for (sA, wA, sB, wB), (S, remainder, _, _) in seen:
+            direct = sum(float(wA[i : i + 256] @ np.exp(-(sA[i : i + 256, None] - sB) ** 2) @ wB)
+                         for i in range(0, len(sA), 256))
+            assert abs(S - direct) <= remainder
+            # an order below 30: its Cramer term is above what 30 orders state
+            assert remainder > _CRAMER[_ORDERS] * float(np.sum(wA)) * float(np.sum(wB))
+
+    @pytest.mark.parametrize("fixture", ["zeta", "zeta3", "gauss", "rs_small"])
+    def test_rule_adds_at_most_one_percent_to_the_bound(self, fixture, request, monkeypatch):
+        model = request.getfixturevalue(fixture)
+        for X in (3.0, 10.0, 18.0):
+            for n_cutoff in (10**2, 10**4, 10**6):
+                bound = moment_series(model, X, 5000.0, n_cutoff).truncation_bound
+                with monkeypatch.context() as patch:
+                    patch.setattr(resonator, "_CRAMER_SHARE", 0.0)  # K = 30 throughout
+                    full = moment_series(model, X, 5000.0, n_cutoff).truncation_bound
+                assert bound <= 1.01 * full, (X, n_cutoff)
+
+
+def no_drop(sup_a, sup_b):
+    return 0.0
 
 
 def one_shot_enumeration(half, delta):

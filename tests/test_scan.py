@@ -67,6 +67,12 @@ class TestExpSum:
             direct = np.sum(coeff * np.exp(-1j * t * omega))
             assert abs(fast[j] - direct) < 1e-10
 
+    def test_empty_sum_is_zero(self):
+        # no terms spread nothing, so the general path returns zeros
+        for n in (1, 2, 5, 4096):
+            vals = exp_sum_on_grid(np.empty(0), np.empty(0), 250.0, 0.05, n)
+            assert vals.shape == (n,) and not vals.any()
+
     def test_phase_step_sweep(self):
         # the spreading is cyclic, so the error does not grow with the phase
         # step; 0.001 and 6.28 spread across the grid's wrap-around point
