@@ -278,7 +278,7 @@ _CRAMER_SHARE = 0.01  # K: the least order whose Cramer term is at most this sha
 
 def _box_sum(
     s_a: np.ndarray, w_a: np.ndarray, s_b: np.ndarray, w_b: np.ndarray,
-    dropped: Callable[[float, float], float],
+    dropped: Callable[[float, float], float], folded: tuple[float, float] | None = None,
 ) -> tuple[float, float, float, float]:
     """(S, remainder, sup_a, sup_b): S = sum over all pairs of
     w_a w_b exp(-(s_a - s_b)^2) to within remainder, and upper bounds of
@@ -335,6 +335,21 @@ def _box_sum(
     least (|L| - 1) r from every item of box i - L, so G_B there is at most
     sum_(|L|<=7) e^(-((|L|-1) r)^2) M^B_0[i - L], plus e^(-6.6^2) sum w_b
     for the items beyond; shrunk gaps bring no box nearer.
+
+    folded = (mass_A, mass_B) sums half of an even pair sum (`_series_sum`
+    derives it): both full sides are closed under s -> -s, A comes as its
+    items at s >= 0 with the one at 0 halved, B as its items in boxes
+    >= -7, and mass_A, mass_B are the full sides' masses. S is still the
+    sum over the pairs given, and the full sum is 2 S; remainder, the sups
+    and the order rule are the full sum's. The lag cut uses the full
+    masses, since the dropped B items lie beyond every A item's reach; the
+    Cramer term doubles with S. G_A is even, so sup G_A is its sup over
+    y >= 0, where G_A(y) = G_A'(y) + G_A'(-y) for the half A' given: the
+    order-0 pass adds the mirror of A's boxes 0..7 at boxes -7..0 (the
+    mirror of an item of box j lies in box -j or on its upper edge, so a
+    point in box -j + L is still at least (|L| - 1) r from it), the
+    others being beyond reach of y >= 0. G_B is even too, and B's items within reach of y >= 0 are all
+    given.
     """
     sides = []
     for s, w in ((s_a, w_a), (s_b, w_b)):
@@ -344,7 +359,10 @@ def _box_sum(
         start = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1, [len(s)]))
         sides.append([s, w, start, key[start[:-1]], np.add.reduceat(w, start[:-1])])
         del key
-    occ = np.union1d(sides[0][3], sides[1][3])
+    # A's boxes 0..7 mirrored to -7..0, ascending (none unless folded)
+    near_zero = slice(None, np.searchsorted(sides[0][3], _LAGS, "right") if folded else 0)
+    mirror_key, mirror_mass = -sides[0][3][near_zero][::-1], sides[0][4][near_zero][::-1]
+    occ = np.union1d(np.union1d(sides[0][3], sides[1][3]), mirror_key)
     pos = _LAGS + np.concatenate(
         ([0], np.cumsum(np.minimum(np.diff(occ), _LAGS + 1)))).astype(np.int64)
     for side in sides:
@@ -353,27 +371,32 @@ def _box_sum(
     lags = np.arange(-_LAGS, _LAGS + 1)
     reach = np.exp(-((np.maximum(np.abs(lags) - 1, 0) * _BOX_R) ** 2))
     near = np.exp(-((lags * _BOX_R) ** 2) / 2.0)  # each lag's Cramer factor
-    # the order-0 pass: the sup bounds and the lag-weighted mass
-    m0 = np.empty((2, _BOX_BLOCK + 2 * _LAGS))
+    # the order-0 pass: the sup bounds and the lag-weighted mass. Row 0 takes
+    # A's mirrored masses and then A's own, for G_A; row 2 keeps A's alone
+    rows = [(mirror_mass, pos[np.searchsorted(occ, mirror_key)]), sides[1][4:], sides[0][4:]]
+    m0 = np.empty((3, _BOX_BLOCK + 2 * _LAGS))
     sup, lag_mass = np.zeros(2), 0.0
     for lo in blocks:
-        for (*_, mass, comp), m in zip(sides, m0):
+        for (mass, comp), m in zip(rows, m0):
             r0, r1 = np.searchsorted(comp, (lo, lo + len(m)))
             m.fill(0.0)
             m[comp[r0:r1] - lo] = mass[r0:r1]
+        m0[0] += m0[2]
         g = np.zeros((3, _BOX_BLOCK))  # G_A and G_B bounds, then B's masses weighted by lag
         for i, L in enumerate(lags):
             shifted = m0[:, _LAGS - L : _LAGS - L + _BOX_BLOCK]
-            g[:2] += reach[i] * shifted
+            g[:2] += reach[i] * shifted[:2]
             g[2] += near[i] * shifted[1]
         sup = np.maximum(sup, g[:2].max(axis=1))
-        lag_mass += float(np.sum(m0[0, _LAGS : _LAGS + _BOX_BLOCK] * g[2]))
-    mass_a, mass_b = float(np.sum(w_a)), float(np.sum(w_b))
+        lag_mass += float(np.sum(m0[2, _LAGS : _LAGS + _BOX_BLOCK] * g[2]))
+    copies = 2.0 if folded else 1.0  # the full sum is this many times S
+    mass_a, mass_b = folded or (float(np.sum(w_a)), float(np.sum(w_b)))
     sup_a = float(sup[0]) + _PAIR_REM * mass_a  # the items beyond the lags
     sup_b = float(sup[1]) + _PAIR_REM * mass_b
     cut = _PAIR_REM * mass_a * mass_b
     allowed = _CRAMER_SHARE * (cut + dropped(sup_a, sup_b))
-    K = next((k for k in range(2, _ORDERS) if _CRAMER[k] * lag_mass <= allowed), _ORDERS)
+    K = next((k for k in range(2, _ORDERS) if copies * _CRAMER[k] * lag_mass <= allowed),
+             _ORDERS)
     ma, mb = moments = np.empty((2, _BOX_BLOCK + 2 * _LAGS, K))
     cross = np.zeros((len(lags), K, K))  # C_L
     factorial = np.cumprod(np.maximum(np.arange(K), 1.0))
@@ -402,7 +425,7 @@ def _box_sum(
     k = np.arange(K)
     n = k[:, None] + k[None, :]  # weights[L, k, l] = (-1)^k h_(k+l)(L r) for k + l < K
     weights = np.where(n < K, (-1.0) ** k[:, None] * h.T[:, np.minimum(n, K - 1)], 0.0)
-    return (float(np.sum(weights * cross)), cut + _CRAMER[K] * lag_mass, sup_a, sup_b)
+    return (float(np.sum(weights * cross)), cut + copies * _CRAMER[K] * lag_mass, sup_a, sup_b)
 
 
 def _series_sum(
@@ -423,6 +446,20 @@ def _series_sum(
     primes' closed-form `_weight_table` totals and mass_A the enumerated
     mass, the dropped pairs add at most d_A (sup G_B + d_B) + d_B sup G_A,
     sup G bounded by `_box_sum`, which sets its Taylor order by this term.
+
+    I2 adds half its pairs. Its tables q^|f|/(1 - q^2) are even, so each
+    half's enumeration is closed under f -> -f bit for bit: negated offsets
+    are exact, a sum of negated terms rounds to the negated sum, and the
+    mirrored item multiplies the same table entries in the same order. The
+    pairs (a, b) and (-a, -b) then carry one term, so S = 2 S', where S'
+    pairs the larger half's items at s >= 0, the one at s = 0 halved (an
+    exact scaling), with the other half's items in boxes >= -7; the rest
+    of that half lies beyond reach of s >= 0. Both halves are cut before
+    they are sorted, so the sort and the box sum see about half the items.
+    The allowance stays the unfolded one: `_box_sum` takes the full masses
+    for the lag cut and the full sum's Cramer term, and bounds the even
+    sup G_A by mirroring the folded half's boxes near 0. Bounding it by
+    2 sup G_A' instead would raise truncation_bound by 3% at X = 18.
     """
     halves: tuple[list, list] = ([], [])
     sizes, totals = [0.0, 0.0], [1.0, 1.0]
@@ -434,24 +471,40 @@ def _series_sum(
         halves[k].append((logp, table))
         sizes[k] += math.log(len(table))
         totals[k] *= table_total
-    sides, dropped_weight, scale = [], [], 1.0
+    sides, masses, dropped_weight, scale = [], [], [], 1.0
     for sign, half, total in zip((1.0, -1.0), halves, totals):
         x, w, half_scale = _enumerate_half(half, delta)
         x *= sign / (2.0 * eps)
+        masses.append(float(np.sum(w)))
+        if which == "I2":  # the items within reach of s >= 0
+            keep = x >= -(_LAGS + 0.5) * _BOX_R
+            x = x[keep]
+            w = w[keep]
+            del keep
         order = np.argsort(x)
         x = x[order]
         w = w[order]
         del order
-        sides += [x, w]
-        dropped_weight.append(max(0.0, total / half_scale - float(np.sum(w))))
+        sides.append((x, w))
+        dropped_weight.append(max(0.0, total / half_scale - masses[-1]))
         scale *= half_scale
+    folded = None
+    if which == "I2":  # fold the larger half: its items at s >= 0, the one at 0 halved
+        if len(sides[1][0]) > len(sides[0][0]):
+            for per_half in (sides, masses, dropped_weight):
+                per_half.reverse()
+        x, w = sides[0]
+        lo, hi = np.searchsorted(x, 0.0), np.searchsorted(x, 0.0, "right")
+        w[lo:hi] *= 0.5
+        sides[0] = (x[lo:], w[lo:])
+        folded = tuple(masses)
     d_a, d_b = dropped_weight
 
     def dropped(sup_a: float, sup_b: float) -> float:
         return d_a * (sup_b + d_b) + d_b * sup_a
 
-    s, remainder, sup_a, sup_b = _box_sum(*sides, dropped)
-    return s * scale, (remainder + dropped(sup_a, sup_b)) * scale
+    s, remainder, sup_a, sup_b = _box_sum(*sides[0], *sides[1], dropped, folded)
+    return s * (2.0 if folded else 1.0) * scale, (remainder + dropped(sup_a, sup_b)) * scale
 
 
 def moment_series(
@@ -466,10 +519,14 @@ def moment_series(
     carry closed geometric sums, and the remaining enumeration is cut at
     a weight floor derived from n_cutoff (floor = n_cutoff^-2, clamped).
     Each moment is one `_series_sum` call, one enumeration and one
-    box-moment pair sum. truncation_bound, sqrt(pi)/eps times the sum of
-    both moments' allowances, is rigorous up to rounding: its three terms
-    are the lag cut, the Cramer remainder of the Taylor orders >= K, and
-    the weight the floor dropped. Each pair sum picks its K as the least
+    box-moment pair sum; I2's pair sum is folded onto the even half of its
+    items (`_series_sum`), so it adds half its pairs and sorts half its
+    items. I1 runs first: its enumeration is the larger and sets the
+    traced peak, and with I2 first the bench command (X = 18) peaked at
+    78 MB resident against 66 MB. truncation_bound, sqrt(pi)/eps times
+    the sum of both moments' allowances, is rigorous up to rounding: its
+    three terms are the lag cut, the Cramer remainder of the Taylor
+    orders >= K, and the weight the floor dropped. Each pair sum picks its K as the least
     order in 2..30 whose Cramer term is at most 1% of the other two, so
     the bound is at most 1.01 times what 30 orders would give. Both
     moments' weight totals are closed forms (`_weight_table`), so the
@@ -478,9 +535,11 @@ def moment_series(
     supported range, but the 12M-item enumeration budget binds first.
     Measured for zeta at T = 5000 on a 2-core Xeon VM (numpy 2.4), one
     process per run, with its peak RSS and truncation_bound/I2: n_cutoff
-    1e5 takes 0.56-0.60 s and 70 MB at X = 18 (2.5e-5), 1.35-1.40 s and
-    171 MB at X = 20 (3.9e-5) and 2.1-2.8 s and 297 MB at X = 22
-    (3.4e-5), K being 23 at all three, and exceeds the budget at X = 25;
+    1e5 takes 0.46-0.47 s and 66 MB at X = 18 (2.5e-5), 0.97-1.10 s and
+    163 MB at X = 20 (3.9e-5) and 1.84-2.13 s and 285 MB at X = 22
+    (3.4e-5), against 0.55-0.57 s, 1.29-1.55 s and 2.27-2.71 s unfolded;
+    the traced peaks, 31.5, 93.9 and 181.7 MiB, are I1's and did not
+    move. K is 23 at all three, and the budget is exceeded at X = 25;
     with 30 orders throughout, n_cutoff 1e4 took 11 s and 590 MB at
     X = 25 (3.1e-3) and exceeded it at X = 30, where n_cutoff 1e3 took
     11 s and 0.66 GB for 0.24. So the practical limit is about X = 25.
@@ -496,8 +555,8 @@ def moment_series(
     if X < 2:
         return MomentSeries(I1=norm, I2=norm, truncation_bound=0.0)
     delta = min(max(1.0 / float(n_cutoff) ** 2, 1e-13), 1e-4)
-    s2, extra2 = _series_sum(model, X, eps, delta, "I2")
     s1, extra1 = _series_sum(model, X, eps, delta, "I1")
+    s2, extra2 = _series_sum(model, X, eps, delta, "I2")
     bound = norm * (extra1 + extra2)
     return MomentSeries(
         I1=float(norm * s1), I2=float(norm * s2), truncation_bound=float(bound)
@@ -509,10 +568,38 @@ def moment_series(
 # ---------------------------------------------------------------------------
 
 
+def _cos_sin(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos 2h, sin 2h) of the half angles h from one tangent tau = tan h:
+    cos 2h = (1 - tau)(1 + tau)/(1 + tau^2) and sin 2h = 2 tau/(1 + tau^2).
+    One np.tan (SIMD-dispatched, about 5 ns per element on a 2-core Xeon
+    VM) takes the place of np.cos and np.sin (27-33 ns each). tau^2 cannot
+    overflow: no double lies within 4.7e-19 of an odd multiple of pi/2
+    (the worst case of argument reduction), so |tau| < 2.2e18.
+
+    Error, absolute, against cos and sin of the double 2h, to first order
+    in u = 2^-53, given np.tan within 1 ulp (relative error a <= 2u): a
+    moves sin by sin cos a and cos by -sin^2 a; the roundings add 3u
+    relative to sin (tau^2, the sum, the quotient) and 6u to cos (both
+    factors and their product besides). So cos is within 6u|cos| +
+    2u sin^2 <= 6u and sin within 3u|sin| + 2u|sin cos| <= 3.5u. Against
+    120-bit mpmath, for 2h up to 1e9, they stayed within 2.4u and 1.9u;
+    libm's cos and sin, within 0.5u.
+    """
+    tau = np.tan(half)
+    den = 1.0 + tau * tau
+    return (1.0 - tau) * (1.0 + tau) / den, 2.0 * tau / den
+
+
 def _integrand_sums(
     model: LFunctionModel, X: float, eps: float, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Re F*|R|^2*Phi, Im F*|R|^2*Phi, |R|^2*Phi) on the nodes t."""
+    """(Re F*|R|^2*Phi, Im F*|R|^2*Phi, |R|^2*Phi) on the nodes t.
+
+    The cos and sin of each phase t log p come from `_cos_sin` at the half
+    angle t (log p / 2); halving log p is exact, so that angle is exactly
+    half the double t log p and the phase rounds as it would whole. The
+    two add at most 6u and 3.5u absolute beyond the phase's own rounding.
+    """
     r2 = np.ones_like(t)
     f_val = np.ones_like(t, dtype=np.complex128)
     if X >= 2:
@@ -521,9 +608,8 @@ def _integrand_sums(
         for i, p in enumerate(primes):
             p = int(p)
             q = q_of_prime(p, X)
-            ph = t * math.log(p)
-            cos_ph = np.cos(ph)
-            z = cos_ph + 1j * np.sin(ph)
+            cos_ph, sin_ph = _cos_sin(t * (0.5 * math.log(p)))
+            z = cos_ph + 1j * sin_ph
             r2 /= 1.0 - 2.0 * q * cos_ph + q * q
             w = np.conj(z) / p
             for j in range(real.shape[1]):

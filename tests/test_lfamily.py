@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from olx.errors import DomainError, RangeError, ResourceError
+from olx.errors import BUDGETS, DomainError, RangeError, ResourceError
 from olx.lfamily import (
     EULER_GAMMA,
+    _TAU_MODULI,
     dirichlet_L1,
     dirichlet_direct,
     is_fundamental_discriminant,
@@ -114,6 +115,10 @@ class TestTau:
     def test_budget(self):
         with pytest.raises(ResourceError):
             tau_table(20_001)
+
+    def test_budget_keeps_the_crt_exact(self):
+        # |tau(n)| <= 2 n^6 < M/2 up to the budget, so tau_table needs no range check
+        assert 4 * BUDGETS["tau_N"].limit ** 6 < math.prod(_TAU_MODULI)
 
     def test_range(self):
         with pytest.raises(RangeError):

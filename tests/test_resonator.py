@@ -17,6 +17,7 @@ from olx.resonator import (
     _ORDERS,
     _PAIR_REM,
     _box_sum,
+    _cos_sin,
     _enumerate_half,
     _integrand_sums,
     _series_sum,
@@ -377,6 +378,95 @@ class TestOnePassPerMoment:
         assert calls == {"pairs": 2, "coefficients": 4}
 
 
+def i2_halves(model, X, delta):
+    """The I2 tables split into halves as `_series_sum` splits them, with
+    each half's closed-form total."""
+    halves, sizes, totals = ([], []), [0.0, 0.0], [1.0, 1.0]
+    tabs = [(math.log(p), *resonator._weight_table(model, p, q_of_prime(p, X), delta, "I2"))
+            for p in (int(v) for v in primes_upto(X))]
+    for logp, table, total in sorted(tabs, key=lambda t: -len(t[1])):
+        k = 0 if sizes[0] <= sizes[1] else 1
+        halves[k].append((logp, table))
+        sizes[k] += math.log(len(table))
+        totals[k] *= total
+    return halves, totals
+
+
+def unfolded_i2_sum(model, X, eps, delta):
+    """(S, allowance) of I2 with both halves whole and one unfolded `_box_sum`."""
+    halves, totals = i2_halves(model, X, delta)
+    sides, dropped_weight, scale = [], [], 1.0
+    for sign, half, total in zip((1.0, -1.0), halves, totals):
+        x, w, half_scale = _enumerate_half(half, delta)
+        x *= sign / (2.0 * eps)
+        order = np.argsort(x)
+        sides += [x[order], w[order]]
+        dropped_weight.append(max(0.0, total / half_scale - float(np.sum(w))))
+        scale *= half_scale
+    d_a, d_b = dropped_weight
+
+    def dropped(sup_a, sup_b):
+        return d_a * (sup_b + d_b) + d_b * sup_a
+
+    s, remainder, sup_a, sup_b = _box_sum(*sides, dropped)
+    return s * scale, (remainder + dropped(sup_a, sup_b)) * scale
+
+
+class TestI2Fold:
+    """I2 sums half its pairs: each half's items are closed under s -> -s."""
+
+    @pytest.mark.parametrize("X", [10.0, 18.0])
+    def test_i2_halves_are_closed_under_negation(self, zeta, X):
+        halves, _ = i2_halves(zeta, X, 1e-10)
+        for half in halves:
+            x, w, _ = _enumerate_half(half, 1e-10)
+            up, down = np.lexsort((w, x)), np.lexsort((w, -x))
+            assert np.array_equal(x[up], -x[down]) and np.array_equal(w[up], w[down])
+
+    def test_folded_pair_sum_against_brute_force(self):
+        # even sides massed near 0, so sup G_A lies where A's two halves
+        # overlap: the sup of the s >= 0 half alone is about half of it
+        rng = np.random.default_rng(31)
+        r_a, r_b = rng.normal(0.0, 3.0, 400), rng.uniform(-20.0, 20.0, 300)
+        r_a = np.concatenate([r_a, [0.5, 7.5, 12.5]])  # on box edges
+        r_b = np.concatenate([r_b, [-7.5, -8.5, 6.5]])
+        w_ra = 2.0 ** -rng.uniform(0.0, 20.0, len(r_a))
+        w_rb = 2.0 ** -rng.uniform(0.0, 20.0, len(r_b))
+        sA, wA = np.concatenate([r_a, -r_a, [0.0]]), np.concatenate([w_ra, w_ra, [1.0]])
+        sB, wB = np.concatenate([r_b, -r_b, [0.0]]), np.concatenate([w_rb, w_rb, [0.5]])
+        a, b = np.argsort(sA), np.argsort(sB)
+        sA, wA, sB, wB = sA[a], wA[a], sB[b], wB[b]
+        direct = float(wA @ np.exp(-(sA[:, None] - sB[None, :]) ** 2) @ wB)
+        # the fold: A's items at s >= 0, the one at 0 halved; B's within reach
+        keep_a, keep_b = sA >= 0.0, sB >= -7.5
+        wA_fold = np.where(sA == 0.0, 0.5 * wA, wA)[keep_a]
+        folded = (float(np.sum(wA)), float(np.sum(wB)))
+        S, remainder, sup_a, sup_b = _box_sum(sA[keep_a], wA_fold, sB[keep_b], wB[keep_b],
+                                              no_drop, folded)
+        assert remainder < 1e-10 * direct
+        assert abs(2.0 * S - direct) <= remainder
+        y = np.linspace(-40.0, 40.0, 80_001)
+        for s, w, bound in ((sA, wA, sup_a), (sB, wB, sup_b)):
+            g = np.array([float(w @ np.exp(-(s - yk) ** 2)) for yk in y[::7]])
+            assert g.max() <= bound < 4.0 * g.max()
+        half = np.array([float(wA_fold @ np.exp(-(sA[keep_a] - yk) ** 2)) for yk in y[::7]])
+        assert half.max() < 0.75 * sup_a
+
+    @pytest.mark.parametrize("fixture", ["zeta", "gauss", "rs_small"])
+    @pytest.mark.parametrize("X", [3.0, 10.0, 18.0])
+    def test_folded_series_matches_unfolded(self, fixture, X, request):
+        # the two add the same pair terms in different orders, and each lands
+        # a few ulp from the exact sum: against a long-double evaluation of
+        # the same expansion the fold was +1.3 ulp off and the unfolded sum
+        # -1.7 at X = 10, -3.2 and +2.8 at X = 14
+        model = request.getfixturevalue(fixture)
+        eps = resonator_config(5000.0).eps
+        got = _series_sum(model, X, eps, 1e-10, "I2")
+        want = unfolded_i2_sum(model, X, eps, 1e-10)
+        assert abs(got[0] - want[0]) <= 8.0 * np.spacing(want[0])
+        assert abs(got[1] / want[1] - 1.0) <= 1e-3
+
+
 class TestMoments:
     def test_empty_product_closed_form(self, zeta):
         eps = math.log(5000.0) / 5000.0
@@ -555,6 +645,25 @@ class TestTrapezoidSweep:
             scale = max(abs(v) for v in want)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-12 * scale
+
+
+def test_cos_sin_from_one_tangent_within_stated_error():
+    # phases up to 1e8: random ones, and the doubles nearest odd multiples of
+    # pi/2 (cos near 0, tau near 1) and of pi (tau up to about 1e16)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2019)
+    ks = [1, 3, 5, *rng.integers(1, 15 * 10**6, 40).tolist()]
+    u = 2.0**-53
+    with mpmath.workprec(120):
+        phases = np.concatenate([
+            rng.uniform(-1e8, 1e8, 300), rng.uniform(-10.0, 10.0, 100), [0.0, 1e8],
+            [float((2 * k + 1) * mpmath.pi / 2) for k in ks],
+            [float((2 * k + 1) * mpmath.pi) for k in ks], [float(k * mpmath.pi) for k in ks]])
+        cos, sin = _cos_sin(phases * 0.5)
+        for ph, c, s in zip(phases, cos, sin):
+            exact = mpmath.mpf(float(ph))
+            assert abs(float(mpmath.cos(exact) - c)) <= 6.0 * u, ph
+            assert abs(float(mpmath.sin(exact) - s)) <= 3.5 * u, ph
 
 
 @pytest.mark.parametrize("call", [
