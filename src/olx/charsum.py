@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericError, check_budget
+from .errors import check_budget
 from .summation import BLOCK
 
 # B_2, B_4, ..., B_16: the Euler-Maclaurin corrections here and in zeta_em
@@ -37,18 +37,16 @@ EM_BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730
 def periodic_lseries(chi: np.ndarray, s: complex) -> tuple[complex, float]:
     """(value, bound) for sum_{n>=1} chi[n mod q] n^(-s), Re(s) = 1.
 
-    chi must be an integer array over one full period with zero total.
+    chi must be an integer array over one full period with zero total; its
+    one caller, dirichlet_direct, passes s = 1 + it and the table of a
+    non-principal character, so neither is checked here.
     bound is the tail's remainder bound plus a rounding allowance for the
     head sum (the tail totals at most about q/M <= 1/16 in modulus) plus,
     off the real axis, the rounding of the head's phases: t log n is
     rounded twice (log n and the product, each within u = 2^-53 relative),
     so the term chi(n) n^(-s) moves by at most 2u |t| log n |chi(n)| / n.
     """
-    if s.real != 1.0:
-        raise DomainError(f"character series is evaluated on Re(s) = 1, got s = {s}")
     q = len(chi)
-    if int(np.sum(chi, dtype=np.int64)) != 0:
-        raise NumericError("periodic coefficient array must have zero mean")
     t = s.imag
     M = q * max(2, math.ceil(max(4096, 16 * q, 8 * q * (1 + abs(s))) / q))
     check_budget("charsum_head", M, period=q, abs_s=abs(s))

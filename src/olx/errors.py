@@ -37,7 +37,9 @@ Budget = NamedTuple("Budget", [("limit", float), ("message", str), ("reason", st
 
 BUDGETS = {
     "sieve_limit": Budget(1 << 32, "sieve limit {value:g} exceeds the sieve budget {limit}",
-                          "pi(2^32) = 203,280,221 primes, 8 bytes each: 1.6 GB"),
+                          "mertens streams 2^21-integer windows: x = 2^32 took 15 s and "
+                          "37 MB; a whole sieve_primes array to it holds 203,280,221 primes, "
+                          "1.6 GB"),
     "Y": Budget(100_000_000, "Y = {value:g} exceeds the sieve budget {limit:g}",
                 "largest truncation cutoff; its cached prime table holds 5.8e6 primes, 46 MB"),
     "abs_t": Budget(1e8, "|t| = {value:g} exceeds the phase precision budget {limit:g}",

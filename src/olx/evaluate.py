@@ -299,6 +299,8 @@ def calibrate_truncation(
 
     def deviation(t: float) -> float:
         direct = direct_value(model, t)
+        # neither zeta nor L(., chi_d) vanishes on the 1-line, but a high
+        # power does underflow: |zeta(1 + it)|^1000 is 0.0 near t = 947
         if abs(direct) < 1e-300:
             raise NumericError(f"direct value vanished at t = {t}")
         return abs(euler_product_on_line(model, t, Y) / direct - 1.0)

@@ -220,7 +220,10 @@ def dirichlet_direct(d: int, t: float) -> complex:
     series of charsum, whose stated remainder and rounding bound is
     checked against that target.
     Its phase rounding grows with |t|, so the check refuses beyond about
-    |t| = 8e4 for d = -4 and 5e4 for d = 5."""
+    |t| = 8e4 for d = -4 and 5e4 for d = 5. The series' inputs hold by
+    construction: s = 1 + it, and for a fundamental d != 1 chi_d is a
+    non-principal character mod |d|, so character_table(d) sums to zero
+    over its period."""
     check_budget("abs_d", abs(d), d=d)  # first: the squarefree test is trial division
     check_budget("abs_t", abs(t))
     if not is_fundamental_discriminant(d):

@@ -28,45 +28,63 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
-    """All primes <= limit, ascending, as a read-only int64 array, from a
-    segmented sieve of Eratosthenes over the odd numbers.
+def _odd_primes(lo: int, n: int, odd_base: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """The primes among the n odd numbers from lo, by one mask of n flags
+    struck at the odd base primes (all below lo) from their squares."""
+    mask = np.ones(n, dtype=bool)
+    # first odd multiple of p at or past max(p^2, lo), as an index
+    first = np.maximum(squares, (lo + odd_base - 1) // odd_base * odd_base)
+    first += odd_base * (first % 2 == 0)
+    for p, i in zip(odd_base.tolist(), ((first - lo) // 2).tolist()):
+        mask[i::p] = False
+    found = np.flatnonzero(mask)
+    found *= 2
+    found += lo
+    return found
+
+
+def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE, start: int = 2) -> np.ndarray:
+    """The primes in [start, limit], ascending, as a read-only int64 array,
+    from a segmented sieve of Eratosthenes over the odd numbers.
 
     The mask is bounded by segment_size (integers per segment, one flag per
     odd number), not limit, so scans can ask for primes up to 1e8 without a
-    mask of that size. Each segment writes its primes straight into one
-    buffer sized by pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld), which
-    is then shrunk in place, so the result holds 8 * pi(limit) bytes (46 MB
-    at 1e8) and the primes are never copied whole. Segments are processed
-    in ascending order; the result is deterministic.
+    mask of that size. A range past the base primes (those <= sqrt(limit))
+    that fits one segment is returned as that segment finds it: the
+    Mertens products walk such windows of SEGMENT_SIZE integers. Any other
+    range writes each segment's primes straight into one buffer sized by
+    pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld), which is then shrunk
+    in place, so the whole sieve holds 8 * pi(limit) bytes (46 MB at 1e8)
+    and the primes are never copied whole. start > limit gives an empty
+    array. Segments are processed in ascending order; the result is
+    deterministic.
     """
     if not limit >= 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if not (isinstance(segment_size, Integral) and segment_size >= 1):
         raise DomainError(f"sieve segment size must be an integer >= 1, got {segment_size!r}")
+    if not (isinstance(start, Integral) and start >= 2):
+        raise DomainError(f"sieve start must be an integer >= 2, got {start!r}")
     check_budget("sieve_limit", limit)
-    limit = int(limit)
+    limit, start = int(limit), int(start)
     root = math.isqrt(limit)
-    base = _simple_sieve(root)
+    base = _simple_sieve(max(root, 2))
     odd_base = base[1:]
     squares = odd_base * odd_base
-    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
-    primes[: len(base)] = base
-    count = max(len(base), 1)
-    primes[0] = 2  # base is empty below 4
-    lo = max(root + 1, 3) | 1  # first odd number past the base primes
+    head = base[np.searchsorted(base, start) :]
+    lo = max(start, root + 1, 3) | 1  # first odd number past the base primes
     span = max(segment_size // 2, 1)  # odd numbers per segment
+    odd = max((limit - lo) // 2 + 1, 0)  # odd numbers from lo to limit
+    if not len(head) and odd <= span:
+        primes = _odd_primes(lo, odd, odd_base, squares)
+        primes.setflags(write=False)
+        return primes
+    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    primes[: len(head)] = head
+    count = len(head)
     while lo <= limit:
         n = min(span, (limit - lo) // 2 + 1)
-        mask = np.ones(n, dtype=bool)
-        # first odd multiple of p at or past max(p^2, lo), as an index
-        start = np.maximum(squares, (lo + odd_base - 1) // odd_base * odd_base)
-        start += odd_base * (start % 2 == 0)
-        for p, i in zip(odd_base.tolist(), ((start - lo) // 2).tolist()):
-            mask[i::p] = False
-        found = np.flatnonzero(mask)
-        found *= 2
-        found += lo
+        found = _odd_primes(lo, n, odd_base, squares)
         primes[count : count + len(found)] = found
         count += len(found)
         lo += 2 * n

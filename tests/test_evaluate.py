@@ -28,7 +28,7 @@ from olx.evaluate import (
     zeta_em,
     zeta_eta,
 )
-from olx.lfamily import make_rankin_selberg_delta, parse_model
+from olx.lfamily import make_rankin_selberg_delta, make_zeta_power, parse_model
 from olx.mertens import truncated_product_at_1
 from olx.primes import character_table, primes_upto
 from olx.resonator import (
@@ -405,6 +405,12 @@ class TestCalibration:
     def test_dedekind_supported(self, gauss):
         stats = calibrate_truncation(gauss, (40.0, 60.0), 1e4, 5, 9)
         assert all(d >= 0 and math.isfinite(d) for d in stats.deviation)
+
+    def test_underflowed_direct_value_is_refused(self):
+        # |zeta(1 + it)| is about 0.31 near t = 947, so its 1000th power is
+        # 0.0: the quotient guard fires there, and the division never runs
+        with pytest.raises(NumericError, match="direct value vanished"):
+            calibrate_truncation(make_zeta_power(1000), (946.9, 947.0), 1e3, 1, 1)
 
     def test_direct_value_square(self, zeta2):
         t = 2.5

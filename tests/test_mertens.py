@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,13 +7,20 @@ import pytest
 from olx.errors import DomainError, NumericError
 import numpy as np
 
-from olx.lfamily import EULER_GAMMA, make_zeta_power, power_sum
+from olx.lfamily import (
+    EULER_GAMMA,
+    log_local_factor,
+    make_rankin_selberg_delta,
+    make_zeta_power,
+    power_sum,
+)
 from olx.mertens import (
     mertens_prediction,
     mertens_report,
     truncated_product_at_1,
 )
-from olx.primes import kronecker, sieve_primes
+from olx.primes import SEGMENT_SIZE, kronecker, sieve_primes
+from olx.summation import blocked_log_sum
 
 
 def product_oracle_zeta(x):
@@ -180,3 +188,79 @@ class TestReport:
             mertens_report(big, [100, 1e20])
         with pytest.raises(DomainError, match="x >= 2, got 1.5"):
             mertens_report(big, [1.5, 100])
+
+
+def one_array_product(model, x):
+    """The product at x from every prime <= x held in one array, reduced in
+    summation blocks: the reduction the window stream must reproduce."""
+    return math.exp(blocked_log_sum(sieve_primes(int(x)), lambda ps: log_local_factor(model, ps)))
+
+
+# the first window holds 2 .. SEGMENT_SIZE + 1, the second the next SEGMENT_SIZE
+FIRST_WINDOW_END = SEGMENT_SIZE + 1
+SECOND_WINDOW_END = 2 * SEGMENT_SIZE + 1
+
+
+class TestWindowStream:
+    # 821,641 is the 65,536th prime: pi(x) is 65,535, 65,536 and 65,537 at
+    # 821,640, 821,641 and 821,647, one short of a full block, exactly one
+    # block, and one into the next
+    BLOCK_EDGE = [821_640, 821_641, 821_647]
+    # two cutoffs in block 0, and two in block 1 (primes 821,641 .. 1,742,537)
+    SHARED_BLOCK = [1000.5, 1999.0, 900_000, 1_700_000]
+    WINDOW_EDGE = [FIRST_WINDOW_END - 1, FIRST_WINDOW_END, FIRST_WINDOW_END + 1,
+                   SECOND_WINDOW_END, SECOND_WINDOW_END + 1]
+
+    def test_block_edge_counts(self):
+        primes = sieve_primes(821_647)
+        assert [int(np.searchsorted(primes, x, side="right")) for x in self.BLOCK_EDGE] == \
+            [65_535, 65_536, 65_537]
+        assert primes[65_535] == 821_641 and sieve_primes(1_742_537)[-1] == 1_742_537
+        assert len(sieve_primes(1_742_537)) == 2 * 65_536
+
+    @pytest.mark.parametrize("model_name", ["zeta", "zeta2", "gauss"])
+    def test_grid_matches_one_array_reduction(self, model_name, request):
+        model = request.getfixturevalue(model_name)
+        grid = sorted([2.0, *self.SHARED_BLOCK, *self.BLOCK_EDGE, *self.WINDOW_EDGE])
+        rep = mertens_report(model, grid)
+        assert rep.product == tuple(one_array_product(model, x) for x in grid)
+
+    @pytest.mark.parametrize("model_name", ["zeta", "zeta2", "gauss"])
+    @pytest.mark.parametrize("x", BLOCK_EDGE + WINDOW_EDGE)
+    def test_single_cutoff_matches_one_array_reduction(self, model_name, x, request):
+        model = request.getfixturevalue(model_name)
+        assert truncated_product_at_1(model, x) == one_array_product(model, x)
+
+    def test_rankin_selberg_within_its_table(self):
+        # rs-delta:20000 stops at its coefficient cutoff, inside block 0
+        model = make_rankin_selberg_delta(20000)
+        grid = [2.0, 3.0, 1000.5, 1999.0, 19_997.0, 20_000.0]
+        rep = mertens_report(model, grid)
+        assert rep.product == tuple(one_array_product(model, x) for x in grid)
+        assert truncated_product_at_1(model, 20_000) == one_array_product(model, 20_000)
+
+    def test_one_sieve_call_per_window(self, zeta, monkeypatch):
+        calls = []
+
+        def spy(limit, *args):
+            calls.append((args[1], limit))
+            return sieve_primes(limit, *args)
+
+        monkeypatch.setattr("olx.mertens.sieve_primes", spy)
+        mertens_report(zeta, [100, SECOND_WINDOW_END + 1])
+        assert calls == [(2, FIRST_WINDOW_END), (FIRST_WINDOW_END + 1, SECOND_WINDOW_END),
+                         (SECOND_WINDOW_END + 1, SECOND_WINDOW_END + 1)]
+
+    def test_bench_grid_holds_one_window(self, zeta):
+        # the stream holds one window's mask and primes and one block's
+        # kernel temporaries: tracemalloc reads 4.99e6 bytes with numpy 2.4
+        # (bound: 1.5x that), and 56.8e6 when all 5,761,455 primes are held
+        mertens_report(zeta, [100])
+        tracemalloc.start()
+        try:
+            rep = mertens_report(zeta, [1e6, 1e7, 1e8])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.product[-1] == one_array_product(zeta, 1e8)
+        assert peak < 7.5e6

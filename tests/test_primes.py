@@ -134,6 +134,52 @@ class TestSieve:
         assert peak < 1.3 * primes.nbytes + SEGMENT_SIZE
 
 
+class TestSieveFromStart:
+    @pytest.mark.parametrize("segment_size", [64, 1000])
+    def test_windows_join_to_the_whole_sieve(self, segment_size):
+        # windows of w integers from 2, each sieved on its own, at limits
+        # near the edges of the whole sieve's segments and of the windows
+        ref = _simple_sieve(40 * segment_size)
+        for w in (segment_size, segment_size + 1, 3 * segment_size - 2):
+            for limit in range(5 * segment_size - 3, 5 * segment_size + 4):
+                parts = [sieve_primes(min(lo + w - 1, limit), segment_size, lo)
+                         for lo in range(2, limit + 1, w)]
+                np.testing.assert_array_equal(np.concatenate(parts), ref[ref <= limit])
+
+    @pytest.mark.parametrize("limit", [10_000, 10_007, 99_991])
+    def test_start_below_the_root(self, limit):
+        # the base primes at or past start come first, then the segments
+        ref = _simple_sieve(limit)
+        for start in (2, 3, 4, 5, 50, 97, 98, math.isqrt(limit), math.isqrt(limit) + 1):
+            for segment_size in (64, SEGMENT_SIZE):
+                np.testing.assert_array_equal(
+                    sieve_primes(limit, segment_size, start), ref[ref >= start])
+
+    def test_even_start(self):
+        ref = _simple_sieve(3003)
+        for start in (2, 4, 100, 1000, 2998, 3000):
+            for limit in (start, start + 1, start + 3, 3000):
+                np.testing.assert_array_equal(
+                    sieve_primes(limit, 64, start), ref[(ref >= start) & (ref <= limit)])
+
+    def test_one_window_past_the_root(self):
+        lo = 10**9
+        window = sieve_primes(lo + SEGMENT_SIZE - 1, SEGMENT_SIZE, lo)
+        assert window.dtype == np.int64 and not window.flags.writeable
+        assert window[:3].tolist() == [1_000_000_007, 1_000_000_009, 1_000_000_021]
+        assert len(window) == 101_084  # pi(10^9 + 2^21 - 1) - pi(10^9 - 1)
+
+    @pytest.mark.parametrize("limit, start", [(2, 3), (10, 11), (10, 20), (10**6, 10**6 + 1)])
+    def test_start_past_limit_is_empty(self, limit, start):
+        primes = sieve_primes(limit, start=start)
+        assert primes.dtype == np.int64 and len(primes) == 0 and not primes.flags.writeable
+
+    @pytest.mark.parametrize("start", [1, 0, -5, 2.5, math.nan, "3"])
+    def test_bad_start_is_a_domain_error(self, start):
+        with pytest.raises(DomainError, match="sieve start"):
+            sieve_primes(100, start=start)
+
+
 class TestKronecker:
     def test_examples(self):
         assert kronecker(-4, 3) == -1
