@@ -250,7 +250,11 @@ def direct_value(model: LFunctionModel, t: float) -> complex:
     """F(1 + it) by the direct oracles; defined for the zeta-power and
     quadratic-field models only."""
     if model.kind == "zeta-power":
-        return zeta_em(complex(1.0, t)) ** model.pole_order
+        zeta = zeta_em(complex(1.0, t))
+        try:
+            return zeta ** model.pole_order
+        except OverflowError:
+            raise NumericError(f"zeta(1 + it)^{model.pole_order} overflows at t = {t}") from None
     if model.kind == "dedekind":
         return zeta_em(complex(1.0, t)) * dirichlet_direct(model.discriminant, t)
     raise UnsupportedModelError(
@@ -300,9 +304,9 @@ def calibrate_truncation(
     def deviation(t: float) -> float:
         direct = direct_value(model, t)
         # neither zeta nor L(., chi_d) vanishes on the 1-line, but a high
-        # power does underflow: |zeta(1 + it)|^1000 is 0.0 near t = 947
+        # power does underflow: |zeta(1 + it)|^1000 rounds to 0.0 near t = 947
         if abs(direct) < 1e-300:
-            raise NumericError(f"direct value vanished at t = {t}")
+            raise NumericError(f"direct value underflowed at t = {t}")
         return abs(euler_product_on_line(model, t, Y) / direct - 1.0)
 
     with ThreadPoolExecutor(max_workers=worker_cap()) as pool:

@@ -256,8 +256,10 @@ def make_dedekind_quadratic(d: int) -> LFunctionModel:
     )
 
 
+@lru_cache(maxsize=8)
 def _rs_lambda_sq(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(primes <= N, lambda(p)^2) with lambda(p) = tau(p) p^(-11/2).
+    """(primes <= N, lambda(p)^2) with lambda(p) = tau(p) p^(-11/2), cached
+    read-only for a model and its residue.
 
     Verifies tau(p)^2 <= 4 p^11 in exact integer arithmetic; a violation
     would put a root off the unit circle and signals a tau bug.
@@ -271,6 +273,7 @@ def _rs_lambda_sq(N: int) -> tuple[np.ndarray, np.ndarray]:
         if t * t > 4 * p**11:
             raise NumericError(f"tau({p}) violates the two-sided root bound")
         lam_sq[i] = (t * t) / float(p**11)
+    lam_sq.setflags(write=False)
     return primes, lam_sq
 
 
@@ -312,7 +315,6 @@ def make_rankin_selberg_delta(N: int) -> LFunctionModel:
         raise DomainError(f"coefficient table needs an integer N >= 2, got {N!r}")
     primes, lam_sq = _rs_lambda_sq(N)
     residue, tail = sym2_residue(N)
-    lam_sq.setflags(write=False)
     return LFunctionModel(
         label=f"rs-delta:{N}",
         degree=4,

@@ -646,24 +646,6 @@ def _trapezoid_levels(
     return (sums - ends / 2.0) * (strides * h)[:, None]
 
 
-def quadrature_intervals(
-    model: LFunctionModel, X: float, T: float, step: float
-) -> int:
-    """The interval count n of moment_quadrature's middle level after its
-    input checks; ResourceError when the sweep's 2n + 1 nodes exceed the
-    budget "quad_nodes". Cheap, so a caller can refuse a run before other work."""
-    if not 0 < step < math.inf:
-        raise DomainError("quadrature step must be positive")
-    if not X <= X_MOMENTS_MAX:  # NaN too
-        raise DomainError(f"moment integrals support X <= {X_MOMENTS_MAX}, got {X}")
-    model.check_cutoff(X)
-    half = _GAUSS_CUT / resonator_config(T).eps / step
-    # half stays a float past the budget, so no step overflows ceil
-    n = max(8, 2 * math.ceil(half)) if half <= BUDGETS["quad_nodes"].limit else 2.0 * half
-    check_budget("quad_nodes", 2 * n + 1)
-    return n
-
-
 def moment_quadrature(
     model: LFunctionModel, X: float, T: float, step: float
 ) -> MomentQuadrature:
@@ -682,9 +664,18 @@ def moment_quadrature(
     defaults T = 5000, step 0.04) in blocks of 2^15; its traced peak was
     4.3 MiB for zeta at X = 18 at step 0.04 and at 0.004 alike. Past
     the budget "quad_nodes" (olx.errors.BUDGETS), ResourceError is raised
-    before any integrand work (quadrature_intervals)."""
-    n = quadrature_intervals(model, X, T, step)
+    before any integrand work, so `olx moments` refuses such a run before
+    its series starts."""
+    if not 0 < step < math.inf:
+        raise DomainError("quadrature step must be positive")
+    if not X <= X_MOMENTS_MAX:  # NaN too
+        raise DomainError(f"moment integrals support X <= {X_MOMENTS_MAX}, got {X}")
+    model.check_cutoff(X)
     eps = resonator_config(T).eps
+    half = _GAUSS_CUT / eps / step
+    # half stays a float past the budget, so no step overflows ceil
+    n = max(8, 2 * math.ceil(half)) if half <= BUDGETS["quad_nodes"].limit else 2.0 * half
+    check_budget("quad_nodes", 2 * n + 1)
     vals = _trapezoid_levels(model, X, eps, _GAUSS_CUT / eps, n)
     e1, e2 = np.abs(np.diff(vals[:, [0, 2]], axis=0)).max(axis=1)  # Re I1 and I2
     floor = 1e-12 * np.abs(vals[2, [0, 2]]).max()

@@ -1,12 +1,13 @@
 """Deterministic compensated reduction over prime blocks.
 
-All Euler products accumulate in log space: per-prime terms are summed
-with numpy's pairwise reduction inside fixed-size blocks, and the block
+This module owns the block order and the fold: prime_blocks cuts the
+primes, whole or in sieve windows, into fixed-size blocks counted from
+the first prime. All Euler products accumulate in log space: each
+block's terms are summed with numpy's pairwise reduction, and the block
 results are folded left-to-right by neumaier_sum, the package's only
 compensated loop (complex sums fold their real and imaginary parts
-through it separately). The block boundaries depend only on the input,
-never on a worker count, so two runs produce bit-identical sums
-regardless of how blocks were computed; worker_cap reads that count from
+through it separately). Neither depends on a worker count or a windowing,
+so two runs give bit-identical sums; worker_cap reads that count from
 OLX_THREADS for every pool in the package. exp_of_log turns a log sum
 back into a value, raising NumericError instead of overflowing a float.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,21 +59,53 @@ def neumaier_sum(values: Iterator[float]) -> float:
     return total + comp
 
 
+def prime_blocks(windows: np.ndarray | Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Ascending prime windows cut into consecutive BLOCKs counted from the
+    first prime, the last one possibly short; an array counts as one
+    window. A block is a view of its window, or a copy where it spans two."""
+    rest = ()  # the primes past the last full block
+    for window in (windows,) if isinstance(windows, np.ndarray) else windows:
+        if len(rest):
+            j = BLOCK - len(rest)
+            rest, window = np.concatenate((rest, window[:j])), window[j:]
+            if len(rest) < BLOCK:
+                continue
+            yield rest
+        full = len(window) - len(window) % BLOCK
+        yield from (window[lo : lo + BLOCK] for lo in range(0, full, BLOCK))
+        rest = window[full:]
+    if len(rest):
+        yield rest
+
+
+def prefix_log_sums(
+    windows: np.ndarray | Iterable[np.ndarray],
+    term_fn: Callable[[np.ndarray], np.ndarray],
+    limits: Sequence[float],
+) -> Iterator[float]:
+    """The sum of term_fn (per-prime real log terms) over the primes <= each
+    ascending limit, in one pass over prime_blocks(windows): each block is
+    reduced once, and the sum at a limit folds the full blocks below it and
+    its partial block, the bits of blocked_log_sum over those primes."""
+    sums: list[float] = []
+    i = 0
+    for block in prime_blocks(windows):
+        while i < len(limits) and limits[i] < block[-1]:
+            k = int(np.searchsorted(block, limits[i], side="right"))
+            yield neumaier_sum(sums + [float(np.sum(term_fn(block[:k])))] if k else sums)
+            i += 1
+        sums.append(float(np.sum(term_fn(block))))
+    for _ in limits[i:]:
+        yield neumaier_sum(sums)
+
+
 def blocked_log_sum(
     primes: np.ndarray,
     term_fn: Callable[[np.ndarray], np.ndarray],
 ) -> float:
-    """Sum term_fn over ascending prime blocks with ordered compensation.
-
-    term_fn maps a block of primes to the per-prime real log terms; blocks
-    are evaluated and reduced in ascending order.
-    """
-
-    def block_sums() -> Iterator[float]:
-        for lo in range(0, len(primes), BLOCK):
-            yield float(np.sum(term_fn(primes[lo : lo + BLOCK])))
-
-    return neumaier_sum(block_sums())
+    """Sum term_fn over prime_blocks(primes) with ordered compensation: the
+    one-limit case of prefix_log_sums."""
+    return next(prefix_log_sums(primes, term_fn, (math.inf,)))
 
 
 def exp_of_log(log_value: float, what: str) -> float:
@@ -90,8 +123,6 @@ def blocked_complex_log_sum(
     """Complex analogue of blocked_log_sum: term_fn returns the real and
     imaginary parts of the per-prime terms as two arrays, and each part is
     reduced and compensated independently."""
-    sums = [
-        tuple(float(np.sum(part)) for part in term_fn(primes[lo : lo + BLOCK]))
-        for lo in range(0, len(primes), BLOCK)
-    ]
+    sums = [tuple(float(np.sum(part)) for part in term_fn(block))
+            for block in prime_blocks(primes)]
     return complex(neumaier_sum(s[0] for s in sums), neumaier_sum(s[1] for s in sums))

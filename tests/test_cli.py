@@ -63,7 +63,8 @@ class TestExitCodes:
      "truncated product at x = 100.0 overflows a float"),
     (["resonance", "--model", "zeta^5000"], 2,
      "resonance product at X = 8.944695694834484 overflows a float"),
-    (["evaluate", "--model", "zeta^200", "--t", "0.001"], 2, None),
+    (["calibrate", "--model", "zeta^200", "--t-min", "0.001", "--t-max", "0.002",
+      "--samples", "1"], 2, None),
     (["scan", "--model", "zeta^2000", "--t-min", "10", "--t-max", "20",
       "--step", "0.5", "--Y", "100", "--top-k", "1"], 2, None),
     (["evaluate", "--Y", "1e9"], 3, None),
@@ -390,6 +391,15 @@ class TestOutputs:
             assert data["direct_omitted"].startswith(omitted)
             assert data["direct_omitted"].endswith("exceeds 1e-9")
             assert "direct" not in data
+
+    def test_evaluate_omits_an_overflowing_oracle(self, capsys):
+        # zeta(1 + 0.001i)^200 overflows a complex while the product to 1e5
+        # does not, so the row is printed without the refused oracle
+        code, out, err = run_capture(["evaluate", "--model", "zeta^200", "--t", "0.001"], capsys)
+        assert (code, err) == (0, "")
+        data = json.loads(out)["data"]
+        assert data["direct_omitted"] == "zeta(1 + it)^200 overflows at t = 0.001"
+        assert "direct" not in data and data["truncated"]["abs"] > 1e200
 
     def test_moments_reports_agreement(self, capsys):
         code, out, _ = run_capture(

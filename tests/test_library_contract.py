@@ -156,6 +156,7 @@ def test_returns_finite_values_or_raises_an_olx_error(name, data, models):
 
 
 ZETA = olx.make_zeta_power(1)
+ZETA_3000 = olx.make_zeta_power(3000)  # built here, past the shrunk "zeta_power" budget
 
 # inputs the suite or a probe found answered with a bare exception, a NaN or a
 # silently truncated argument; each is refused at its own site
@@ -182,6 +183,9 @@ EXPLICIT = {
         ZETA, 16.0),
     "zeta_em-huge-real-part": lambda: olx.zeta_em(complex(1e300, 0.0)),
     "zeta_em-negative-real-part": lambda: olx.zeta_em(complex(-1e300, 0.0)),
+    # the draws stop at zeta^3; here zeta(1 + it)^3000 overflows
+    "calibrate_truncation-overflowing-direct-value": lambda: olx.calibrate_truncation(
+        ZETA_3000, (100.0, 1000.0), 1e3, 3, 1),
 }
 
 

@@ -26,7 +26,6 @@ from olx.resonator import (
     moment_quadrature,
     moment_series,
     q_of_prime,
-    quadrature_intervals,
     resonance_product,
     resonance_products_at_cutoff,
     resonator_config,
@@ -669,13 +668,12 @@ def test_cos_sin_from_one_tangent_within_stated_error():
 @pytest.mark.parametrize("call", [
     lambda m: moment_quadrature(m, math.nan, 5000.0, 0.04),
     lambda m: moment_quadrature(m, 10.0, 5000.0, math.nan),
-    lambda m: quadrature_intervals(m, 10.0, 5000.0, math.nan),
     lambda m: moment_series(m, math.nan, 5000.0, 100),
     lambda m: resonance_products_at_cutoff(m, math.nan),
     lambda m: euler_product_on_line(m, 10.0, math.nan),
     lambda m: truncated_product_at_1(m, math.nan),
-], ids=["quadrature-X", "quadrature-step", "quadrature-intervals-step", "series-X",
-        "resonance-X", "euler-product-Y", "truncated-product-x"])
+], ids=["quadrature-X", "quadrature-step", "series-X", "resonance-X", "euler-product-Y",
+        "truncated-product-x"])
 def test_nan_cutoff_or_step_is_a_domain_error(call, zeta):
     with pytest.raises(DomainError):
         call(zeta)
