@@ -144,8 +144,8 @@ def _log_terms_on_line(
     docstring; the root bound (LFunctionModel) keeps log1p's argument > -1.
     """
     real, pair_re = model.root_blocks(primes)
-    # block-sized temporaries are reused in place (out=): each fresh one
-    # costs page faults once the previous block's memory was returned
+    # the reducer passes parts of summation.PART primes, so a temporary is
+    # 64 KiB; reusing them in place (out=) keeps the set of them in L2
     pf = primes.astype(np.float64)
     r = 1.0 / pf
     phi = np.log(pf, out=pf)
@@ -248,18 +248,25 @@ def sample_uniform(seed: int, count: int, lo: float, hi: float) -> tuple[float, 
 
 def direct_value(model: LFunctionModel, t: float) -> complex:
     """F(1 + it) by the direct oracles; defined for the zeta-power and
-    quadratic-field models only."""
+    quadratic-field models only. A value that overflows, or underflows
+    below 1e-300, raises NumericError, so no caller divides by it."""
     if model.kind == "zeta-power":
         zeta = zeta_em(complex(1.0, t))
         try:
-            return zeta ** model.pole_order
+            value = zeta ** model.pole_order
         except OverflowError:
             raise NumericError(f"zeta(1 + it)^{model.pole_order} overflows at t = {t}") from None
-    if model.kind == "dedekind":
-        return zeta_em(complex(1.0, t)) * dirichlet_direct(model.discriminant, t)
-    raise UnsupportedModelError(
-        f"no direct oracle for model kind {model.kind!r} at desk scale"
-    )
+    elif model.kind == "dedekind":
+        value = zeta_em(complex(1.0, t)) * dirichlet_direct(model.discriminant, t)
+    else:
+        raise UnsupportedModelError(
+            f"no direct oracle for model kind {model.kind!r} at desk scale"
+        )
+    # neither zeta nor L(., chi_d) vanishes on the 1-line, but a high
+    # power does underflow: |zeta(1 + it)|^1000 rounds to 0.0 near t = 947
+    if abs(value) < 1e-300:
+        raise NumericError(f"direct value underflowed at t = {t}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -303,10 +310,6 @@ def calibrate_truncation(
 
     def deviation(t: float) -> float:
         direct = direct_value(model, t)
-        # neither zeta nor L(., chi_d) vanishes on the 1-line, but a high
-        # power does underflow: |zeta(1 + it)|^1000 rounds to 0.0 near t = 947
-        if abs(direct) < 1e-300:
-            raise NumericError(f"direct value underflowed at t = {t}")
         return abs(euler_product_on_line(model, t, Y) / direct - 1.0)
 
     with ThreadPoolExecutor(max_workers=worker_cap()) as pool:

@@ -498,10 +498,15 @@ def _series_sum(
         w[lo:hi] *= 0.5
         sides[0] = (x[lo:], w[lo:])
         folded = tuple(masses)
-    d_a, d_b = dropped_weight
+    d_a, d_b = (float(d) for d in dropped_weight)
 
     def dropped(sup_a: float, sup_b: float) -> float:
-        return d_a * (sup_b + d_b) + d_b * sup_a
+        term = d_a * (float(sup_b) + d_b) + d_b * float(sup_a)
+        if not math.isfinite(term):  # a high zeta power's table totals
+            raise NumericError(f"{which} series allowance overflows a float: its dropped-weight "
+                               f"term d_A (sup G_B + d_B) + d_B sup G_A, d_A = {d_a:.3g}, "
+                               f"d_B = {d_b:.3g}")
+        return term
 
     s, remainder, sup_a, sup_b = _box_sum(*sides[0], *sides[1], dropped, folded)
     return s * (2.0 if folded else 1.0) * scale, (remainder + dropped(sup_a, sup_b)) * scale
@@ -679,7 +684,9 @@ def moment_quadrature(
     vals = _trapezoid_levels(model, X, eps, _GAUSS_CUT / eps, n)
     e1, e2 = np.abs(np.diff(vals[:, [0, 2]], axis=0)).max(axis=1)  # Re I1 and I2
     floor = 1e-12 * np.abs(vals[2, [0, 2]]).max()
-    if e2 > e1 and e2 > floor:
+    if not np.isfinite(vals).all():
+        raise NumericError(f"quadrature level not finite at step {step}")
+    if not (e2 <= e1 or e2 <= floor):
         raise NumericError(
             f"quadrature not converging under step halving: "
             f"|diff| {e1:.3e} -> {e2:.3e} at step {step}"

@@ -70,8 +70,10 @@ class BoundReport:
 def _record_at(model: LFunctionModel, t: float, Y: float, refined: bool) -> ScanRecord:
     value = euler_product_on_line(model, t, Y)
     mag = abs(value)
-    if not math.isfinite(mag) or mag <= 0.0:
+    if not math.isfinite(mag):
         raise NumericError(f"non-finite product magnitude at t = {t}")
+    if mag == 0.0:
+        raise NumericError(f"product magnitude underflowed at t = {t}")
     return ScanRecord(
         t=float(t),
         magnitude=mag,

@@ -10,6 +10,13 @@ through it separately). Neither depends on a worker count or a windowing,
 so two runs give bit-identical sums; worker_cap reads that count from
 OLX_THREADS for every pool in the package. exp_of_log turns a log sum
 back into a value, raising NumericError instead of overflowing a float.
+
+Blocks fix the bits; parts fix the working set. The term function is
+called on consecutive PARTs of a block, and its parts are written into
+one block-sized buffer per output, which the block's sum then reads. A
+part's temporaries stay in cache, where a whole block's would stream
+through memory. So a term function must be elementwise: its value at a
+prime depends on that prime alone, never on the other primes in its call.
 """
 from __future__ import annotations
 
@@ -22,6 +29,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 
 BLOCK = 1 << 16  # prime-sum and oracle-head terms, or enumeration cells, per block
+PART = 1 << 13  # primes per term-function call within a block
 
 LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))
 
@@ -78,23 +86,46 @@ def prime_blocks(windows: np.ndarray | Iterable[np.ndarray]) -> Iterator[np.ndar
         yield rest
 
 
+def _block_terms(
+    blocks: Iterable[np.ndarray],
+    term_fn: Callable[[np.ndarray], Sequence[np.ndarray]],
+) -> Iterator[tuple[np.ndarray, Sequence[np.ndarray]]]:
+    """Each block with its terms, one array per output of term_fn. A block
+    longer than PART has term_fn called on its consecutive PARTs, each
+    output written into a buffer of the first block's length (no later
+    block is longer) that every later block reuses."""
+    bufs = None
+    for block in blocks:
+        if len(block) <= PART:
+            yield block, term_fn(block)
+            continue
+        for lo in range(0, len(block), PART):
+            parts = term_fn(block[lo : lo + PART])
+            if bufs is None:
+                bufs = np.empty((len(parts), len(block)))
+            for buf, part in zip(bufs, parts):
+                buf[lo : lo + len(part)] = part
+        yield block, bufs[:, : len(block)]
+
+
 def prefix_log_sums(
     windows: np.ndarray | Iterable[np.ndarray],
     term_fn: Callable[[np.ndarray], np.ndarray],
     limits: Sequence[float],
 ) -> Iterator[float]:
-    """The sum of term_fn (per-prime real log terms) over the primes <= each
-    ascending limit, in one pass over prime_blocks(windows): each block is
-    reduced once, and the sum at a limit folds the full blocks below it and
-    its partial block, the bits of blocked_log_sum over those primes."""
+    """The sum of term_fn (per-prime real log terms, elementwise) over the
+    primes <= each ascending limit, in one pass over prime_blocks(windows):
+    each block's terms are computed once, and the sum at a limit folds the
+    full blocks below it and its partial block, the bits of blocked_log_sum
+    over those primes."""
     sums: list[float] = []
     i = 0
-    for block in prime_blocks(windows):
+    for block, (terms,) in _block_terms(prime_blocks(windows), lambda ps: (term_fn(ps),)):
         while i < len(limits) and limits[i] < block[-1]:
             k = int(np.searchsorted(block, limits[i], side="right"))
-            yield neumaier_sum(sums + [float(np.sum(term_fn(block[:k])))] if k else sums)
+            yield neumaier_sum(sums + [float(np.sum(terms[:k]))] if k else sums)
             i += 1
-        sums.append(float(np.sum(term_fn(block))))
+        sums.append(float(np.sum(terms)))
     for _ in limits[i:]:
         yield neumaier_sum(sums)
 
@@ -121,8 +152,8 @@ def blocked_complex_log_sum(
     term_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> complex:
     """Complex analogue of blocked_log_sum: term_fn returns the real and
-    imaginary parts of the per-prime terms as two arrays, and each part is
-    reduced and compensated independently."""
-    sums = [tuple(float(np.sum(part)) for part in term_fn(block))
-            for block in prime_blocks(primes)]
+    imaginary parts of the per-prime terms as two arrays, elementwise, and
+    each part is reduced and compensated independently."""
+    sums = [(float(np.sum(re)), float(np.sum(im)))
+            for _, (re, im) in _block_terms(prime_blocks(primes), term_fn)]
     return complex(neumaier_sum(s[0] for s in sums), neumaier_sum(s[1] for s in sums))

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -243,12 +244,19 @@ print(proc.returncode, usage.ru_maxrss)
 """
 
 
+def peak_rss(*argv, threads=None):
+    """(exit code, peak RSS in kilobytes) of one command run by PEAK_RSS."""
+    env = dict(os.environ) if threads is None else dict(os.environ, OLX_THREADS=threads)
+    out = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], capture_output=True,
+                         check=True, env=env).stdout
+    code, peak_kb = map(int, out.split())
+    return code, peak_kb
+
+
 def test_mertens_at_1e8_peaks_below_90_mb():
     # the 5,761,455 primes take 46 MB: about 78 MB in all with numpy 2.4,
     # and 121 MB for a sieve that holds them twice
-    out = subprocess.run([sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "olx.cli",
-                          "mertens", "--x", "1e8"], capture_output=True, check=True).stdout
-    code, peak_kb = map(int, out.split())
+    code, peak_kb = peak_rss(sys.executable, "-m", "olx.cli", "mertens", "--x", "1e8")
     assert code == 0
     assert peak_kb < 90 * 1024
 
@@ -257,12 +265,30 @@ def test_mertens_bench_grid_peaks_below_50_mb():
     # the products stream sieve windows of 2^21 integers, so no prime array
     # grows with x: about 37 MB in all with numpy 2.4, against 78 MB when
     # the 5,761,455 primes to 1e8 are held
-    out = subprocess.run([sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "olx.cli",
-                          "mertens", "--model", "zeta", "--x-grid", "1e6,1e7,1e8"],
-                         capture_output=True, check=True).stdout
-    code, peak_kb = map(int, out.split())
+    code, peak_kb = peak_rss(sys.executable, "-m", "olx.cli", "mertens", "--model", "zeta",
+                             "--x-grid", "1e6,1e7,1e8")
     assert code == 0
     assert peak_kb < 50 * 1024
+
+
+def test_mertens_to_1e9_peaks_below_60_mb():
+    # the same stream to 1e9 peaks near 38 MB; holding every prime to 1e9
+    # took 423 MB
+    code, peak_kb = peak_rss(sys.executable, "-m", "olx.cli", "mertens", "--x-grid", "1e8,1e9")
+    assert code == 0
+    assert peak_kb < 60 * 1024
+
+
+def test_bench_calibrate_peaks_within_7_mb_of_the_import():
+    # the products' terms are made one summation.PART of primes at a time,
+    # so two threads of 78,498-prime products add about 5 MB to the
+    # interpreter with olx imported; whole 2^16-prime blocks added 10.7 MB
+    _, base_kb = peak_rss(sys.executable, "-c", "import olx.cli; olx.parse_model('zeta')")
+    code, peak_kb = peak_rss(sys.executable, "-m", "olx.cli", "calibrate", "--model", "zeta",
+                             "--t-min", "100", "--t-max", "1000", "--Y", "1e6",
+                             "--samples", "100", "--seed", "1", threads="2")
+    assert code == 0
+    assert peak_kb - base_kb < 7 * 1024
 
 
 def readme_columns():
@@ -276,6 +302,27 @@ def readme_columns():
         if len(lists) > 1:
             columns[cmd + "+oracle"] = lists[0] + lists[1]
     return columns
+
+
+def readme_commands():
+    """The argument lists of the README's command block, `olx` dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("olx ")]
+
+
+@pytest.mark.parametrize("args", readme_commands(), ids=lambda args: args[0])
+def test_readme_command_runs_as_written(args, tmp_path):
+    # each command exits 0 and writes a non-empty artifact whose config
+    # names its command, so a renamed flag or default in the README fails
+    out = tmp_path / "artifact"
+    subprocess.run([sys.executable, "-m", "olx.cli", *args, "--out", str(out)], check=True)
+    text = out.read_text()
+    if text.startswith("# olx "):  # CSV: the config is the first line's JSON
+        config = json.loads(text.splitlines()[0].split(" ", 3)[3])
+    else:
+        config = json.loads(text)["config"]
+    assert config["command"] == args[0]
 
 
 SHAPE_CASES = [
@@ -400,6 +447,21 @@ class TestOutputs:
         data = json.loads(out)["data"]
         assert data["direct_omitted"] == "zeta(1 + it)^200 overflows at t = 0.001"
         assert "direct" not in data and data["truncated"]["abs"] > 1e200
+
+    def test_evaluate_omits_an_underflowed_oracle(self, capsys):
+        # |zeta(1 + it)|^1000 rounds to 0.0 near t = 947: evaluate prints the
+        # row without the refused oracle, and calibrate, which needs it, fails
+        t = "946.9566561575173"
+        code, out, err = run_capture(["evaluate", "--model", "zeta^1000", "--t", t,
+                                      "--Y", "1e3"], capsys)
+        assert (code, err) == (0, "")
+        data = json.loads(out)["data"]
+        assert data["direct_omitted"] == f"direct value underflowed at t = {t}"
+        assert "direct" not in data and "deviation" not in data
+        code, out, err = run_capture(["calibrate", "--model", "zeta^1000", "--t-min", "946.9",
+                                      "--t-max", "947", "--Y", "1e3", "--samples", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: numeric: direct value underflowed at t = ")
 
     def test_moments_reports_agreement(self, capsys):
         code, out, _ = run_capture(

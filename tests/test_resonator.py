@@ -599,6 +599,25 @@ class TestMoments:
         with pytest.raises(NumericError, match="^quadrature not converging under step halving"):
             moment_quadrature(make_zeta_power(40), 6.0, 100.0, 0.01)
 
+    @pytest.mark.parametrize("level, column", [(2, 0), (0, 2), (1, 1)])
+    def test_quadrature_refuses_a_nan_level(self, zeta, level, column, monkeypatch):
+        # NaN compares False both ways, so it must not pass the halving check
+        # as a converged value; nor may one the check does not read (Im I1)
+        vals = np.array([[2.0, 0.0, 3.0], [2.0, 0.0, 3.0], [2.0, 0.0, 3.0]])
+        vals[level, column] = math.nan
+        monkeypatch.setattr(resonator, "_trapezoid_levels", lambda *args: vals)
+        with pytest.raises(NumericError, match="^quadrature level not finite at step 0.04$"):
+            moment_quadrature(zeta, 3.0, 5000.0, 0.04)
+
+    @pytest.mark.filterwarnings("error")
+    def test_series_refuses_an_overflowing_allowance(self):
+        # zeta^1000's closed-form weight totals leave I1's halves dropped
+        # weights of 5e226 and 8e158, whose product overflows: refused by
+        # name, with no numpy warning and no inf truncation_bound
+        with pytest.raises(NumericError, match="^I1 series allowance overflows a float: "
+                                               "its dropped-weight term"):
+            moment_series(make_zeta_power(1000), 3.0, 5000.0, 100)
+
     @pytest.mark.parametrize("fixture, X", [
         ("zeta", 10.0), ("zeta2", 12.0), ("root5", 14.0), ("rs_small", 10.0)])
     def test_series_bound_covers_cross_path_gap(self, fixture, X, request):

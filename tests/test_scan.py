@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import olx.scan as scan_mod
-from olx.errors import BUDGETS, DomainError, ResourceError
+from olx.errors import BUDGETS, DomainError, NumericError, ResourceError
 from olx.evaluate import euler_product_on_line
 from olx.expsum import (_HALF_WIDTH, busiest_cell, error_bound, exp_sum_on_grid, grid_cells,
                         spaced_points)
+from olx.lfamily import make_zeta_power
 from olx.scan import _survivors, bound_report, grid_scan, refine_peak
 
 T_MAX = BUDGETS["abs_t"].limit
@@ -270,6 +271,13 @@ class TestGridScan:
         recs = grid_scan(zeta, 42.0, 42.0, 1.0, 1000.0, 3)
         assert len(recs) == 1 and recs[0].t == 42.0
         assert recs[0].magnitude == abs(euler_product_on_line(zeta, 42.0, 1000.0))
+
+    def test_underflowed_record_says_so(self):
+        # |F(1 + it; 1e3)| for zeta^1000 rounds to 0.0 near t = 947: a zero
+        # magnitude is refused as underflowed, not as non-finite
+        t = 946.9566561575173
+        with pytest.raises(NumericError, match=f"^product magnitude underflowed at t = {t}$"):
+            grid_scan(make_zeta_power(1000), t, t, 1.0, 1e3, 1)
 
     def test_top_k_larger_than_grid(self, zeta):
         recs = grid_scan(zeta, 10.0, 11.0, 0.25, 100.0, 50)
