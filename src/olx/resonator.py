@@ -682,11 +682,11 @@ def moment_quadrature(
     n = max(8, 2 * math.ceil(half)) if half <= BUDGETS["quad_nodes"].limit else 2.0 * half
     check_budget("quad_nodes", 2 * n + 1)
     vals = _trapezoid_levels(model, X, eps, _GAUSS_CUT / eps, n)
-    e1, e2 = np.abs(np.diff(vals[:, [0, 2]], axis=0)).max(axis=1)  # Re I1 and I2
-    floor = 1e-12 * np.abs(vals[2, [0, 2]]).max()
     if not np.isfinite(vals).all():
         raise NumericError(f"quadrature level not finite at step {step}")
-    if not (e2 <= e1 or e2 <= floor):
+    e1, e2 = np.abs(np.diff(vals[:, [0, 2]], axis=0)).max(axis=1)  # Re I1 and I2
+    floor = 1e-12 * np.abs(vals[2, [0, 2]]).max()
+    if e2 > e1 and e2 > floor:
         raise NumericError(
             f"quadrature not converging under step halving: "
             f"|diff| {e1:.3e} -> {e2:.3e} at step {step}"

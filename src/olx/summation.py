@@ -90,22 +90,20 @@ def _block_terms(
     blocks: Iterable[np.ndarray],
     term_fn: Callable[[np.ndarray], Sequence[np.ndarray]],
 ) -> Iterator[tuple[np.ndarray, Sequence[np.ndarray]]]:
-    """Each block with its terms, one array per output of term_fn. A block
-    longer than PART has term_fn called on its consecutive PARTs, each
-    output written into a buffer of the first block's length (no later
-    block is longer) that every later block reuses."""
+    """Each block with its terms, one array per output of term_fn: term_fn
+    is called on the block's consecutive PARTs, each output written into
+    its own buffer of the first block's length (no later block is longer)
+    that every later block reuses. One array per output, not one array of
+    rows: the two-row array of a complex product peaked 1 MB higher."""
     bufs = None
     for block in blocks:
-        if len(block) <= PART:
-            yield block, term_fn(block)
-            continue
         for lo in range(0, len(block), PART):
             parts = term_fn(block[lo : lo + PART])
             if bufs is None:
-                bufs = np.empty((len(parts), len(block)))
+                bufs = [np.empty(len(block)) for _ in parts]
             for buf, part in zip(bufs, parts):
                 buf[lo : lo + len(part)] = part
-        yield block, bufs[:, : len(block)]
+        yield block, [buf[: len(block)] for buf in bufs]
 
 
 def prefix_log_sums(

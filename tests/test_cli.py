@@ -282,7 +282,9 @@ def test_mertens_to_1e9_peaks_below_60_mb():
 def test_bench_calibrate_peaks_within_7_mb_of_the_import():
     # the products' terms are made one summation.PART of primes at a time,
     # so two threads of 78,498-prime products add about 5 MB to the
-    # interpreter with olx imported; whole 2^16-prime blocks added 10.7 MB
+    # interpreter with olx imported; whole 2^16-prime blocks added 10.5 MB.
+    # The margin is about 2 MB: one two-row terms buffer per product in
+    # place of one buffer per output already read 6.1 MB
     _, base_kb = peak_rss(sys.executable, "-c", "import olx.cli; olx.parse_model('zeta')")
     code, peak_kb = peak_rss(sys.executable, "-m", "olx.cli", "calibrate", "--model", "zeta",
                              "--t-min", "100", "--t-max", "1000", "--Y", "1e6",
@@ -309,6 +311,11 @@ def readme_commands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("olx ")]
+
+
+def test_readme_lists_commands():
+    # an empty command block would leave the test below with no cases
+    assert readme_commands()
 
 
 @pytest.mark.parametrize("args", readme_commands(), ids=lambda args: args[0])
